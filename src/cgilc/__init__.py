@@ -33,12 +33,7 @@ from .solvers import (
     conjugation_coefficient,
     fletcher_reeves_coefficient,
     optimal_step,
-    run_deterministic_cg,
-    run_gradient_descent,
-    run_norm_optimal,
     run_solver,
-    run_stochastic_cg,
-    update_input,
 )
 from .sysgen import generate_system, make_step_disturbance
 
@@ -73,13 +68,8 @@ __all__ = [
     "make_step_disturbance",
     "markov_parameters",
     "optimal_step",
-    "run_deterministic_cg",
-    "run_gradient_descent",
-    "run_norm_optimal",
     "run_solver",
-    "run_stochastic_cg",
     "save_system",
     "stochastic_gradient",
     "time_reverse",
-    "update_input",
 ]

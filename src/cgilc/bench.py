@@ -14,6 +14,8 @@ import os
 import re
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .lifted import LiftedSystem, Signal, lift, load_system
 from .oracle import NoiseModel, PlantOracle
 from .rng import combine
@@ -75,8 +77,7 @@ class BenchmarkSpec:
 
 def _solver_from_json(doc: dict) -> SolverConfig:
     known = {"kind", "max_iterations", "reset_period", "step_mode", "decay_a",
-             "decay_gamma", "eps_denominator_tol", "cost_tol", "seed",
-             "estimator", "label"}
+             "decay_gamma", "seed", "estimator", "label"}
     unknown = set(doc) - known
     if unknown:
         raise UsageError(f"unknown solver fields: {sorted(unknown)}")
@@ -131,21 +132,38 @@ def load_spec(path) -> BenchmarkSpec:
 
 
 def _realize_system(spec: BenchmarkSpec) -> LiftedSystem:
-    if isinstance(spec.system, GenerateSource):
-        src = spec.system
-        ss = generate_system(src.n_x, src.n_i, src.n_o, src.seed,
-                             feedthrough_gain=src.feedthrough_gain)
-        return lift(ss, src.N)
-    ss, N = load_system(spec.system.path)
-    return lift(ss, N)
+    try:
+        if isinstance(spec.system, GenerateSource):
+            src = spec.system
+            ss = generate_system(src.n_x, src.n_i, src.n_o, src.seed,
+                                 feedthrough_gain=src.feedthrough_gain)
+            return lift(ss, src.N)
+        ss, N = load_system(spec.system.path)
+        return lift(ss, N)
+    except KeyError as exc:
+        raise UsageError(f"system file lacks field {exc}") from exc
+    except (OSError, TypeError, ValueError) as exc:
+        raise UsageError(f"bad system: {exc}") from exc
 
 
 def _realize_disturbance(spec: BenchmarkSpec, system: LiftedSystem) -> Signal:
     if isinstance(spec.disturbance, StepDisturbance):
         return make_step_disturbance(system.N, system.n_o, spec.disturbance.amplitude)
-    with open(spec.disturbance.path) as fh:
-        doc = json.load(fh)
-    return Signal(doc["data"], "output", int(doc["N"]), int(doc["channels"]))
+    path = spec.disturbance.path
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        r = Signal(doc["data"], "output", int(doc["N"]), int(doc["channels"]))
+    except KeyError as exc:
+        raise UsageError(f"disturbance {path} lacks field {exc}") from exc
+    except (OSError, TypeError, ValueError) as exc:
+        raise UsageError(f"bad disturbance {path}: {exc}") from exc
+    if (r.N, r.channels) != (system.N, system.n_o):
+        raise UsageError(f"disturbance {path} has N={r.N} and {r.channels} channels; "
+                         f"the plant has N={system.N} and {system.n_o} outputs")
+    if not np.isfinite(r.data).all():
+        raise UsageError(f"disturbance {path} holds non-finite values")
+    return r
 
 
 @dataclass

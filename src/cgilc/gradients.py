@@ -16,16 +16,12 @@ import numpy as np
 from .lifted import Signal, TimeReversal
 from .oracle import PlantOracle
 
-STOCHASTIC_SINGLE = "stochastic_single"
-DETERMINISTIC_FULL = "deterministic_full"
-
 
 @dataclass(frozen=True)
 class BernoulliMask:
     """Channel-mixing matrix with i.i.d. +-1 entries, P(+1) = 1/2."""
 
     a: np.ndarray
-    draw_id: int = 0
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -38,9 +34,9 @@ class BernoulliMask:
         object.__setattr__(self, "a", a)
 
 
-def draw_mask(rng: np.random.Generator, n_i: int, n_o: int, draw_id: int = 0) -> BernoulliMask:
+def draw_mask(rng: np.random.Generator, n_i: int, n_o: int) -> BernoulliMask:
     """Fresh i.i.d. +-1 mask of shape (n_i, n_o)."""
-    return BernoulliMask(rng.integers(0, 2, size=(n_i, n_o)) * 2.0 - 1.0, draw_id)
+    return BernoulliMask(rng.integers(0, 2, size=(n_i, n_o)) * 2.0 - 1.0)
 
 
 @dataclass(frozen=True)
@@ -68,8 +64,6 @@ def expand_mask(mask: BernoulliMask, N: int) -> ChannelMixer:
 class GradientEstimate:
     g_hat: Signal
     experiments_used: int
-    estimator: str
-    mask: BernoulliMask | None = None
 
 
 def stochastic_gradient(oracle: PlantOracle, e: Signal,
@@ -93,7 +87,7 @@ def stochastic_gradient(oracle: PlantOracle, e: Signal,
     u = Signal(mix(rev_out(e.data)), "input", N, oracle.n_i)
     w = oracle.probe(u)
     g = Signal(-2.0 * rev_in(mix(w.data)), "input", N, oracle.n_i)
-    return GradientEstimate(g, 1, STOCHASTIC_SINGLE, mask)
+    return GradientEstimate(g, 1)
 
 
 def deterministic_gradient(oracle: PlantOracle, e: Signal) -> GradientEstimate:
@@ -121,4 +115,4 @@ def deterministic_gradient(oracle: PlantOracle, e: Signal) -> GradientEstimate:
             acc[l] += responses[k].data[m * N:(m + 1) * N]
             k += 1
     g = Signal(-2.0 * rev_in(acc.reshape(-1)), "input", N, n_i)
-    return GradientEstimate(g, n_i * n_o, DETERMINISTIC_FULL)
+    return GradientEstimate(g, n_i * n_o)

@@ -65,10 +65,6 @@ class PlantOracle:
     def n_o(self) -> int:
         return self._system.n_o
 
-    @property
-    def experiment_count(self) -> int:
-        return self._count
-
     def snapshot_count(self) -> int:
         """Current experiment count; no side effects."""
         return self._count

@@ -25,6 +25,8 @@ from .rng import MASK_STREAM, stream
 SOLVER_KINDS = ("stoch_cg", "det_cg", "stoch_gd", "det_gd", "norm_optimal")
 STEP_MODES = ("optimal_line_search", "decaying")
 ESTIMATORS = ("single", "full")
+EPS_DENOMINATOR_TOL = 1e-14  # ||Jp||^2 below this share of ||p||^2 ||J||^2 is degenerate
+COST_TOL = 1e-16  # stop once the true cost falls below this share of the first
 
 
 class DegenerateDirectionError(ZeroDivisionError):
@@ -39,8 +41,6 @@ class SolverConfig:
     step_mode: str = "optimal_line_search"
     decay_a: float | None = None
     decay_gamma: float = 1.0
-    eps_denominator_tol: float = 1e-14
-    cost_tol: float = 1e-16
     seed: int = 0
     estimator: str | None = None
     label: str = ""
@@ -50,6 +50,9 @@ class SolverConfig:
             raise ValueError(f"unknown solver kind {self.kind!r}")
         if self.step_mode not in STEP_MODES:
             raise ValueError(f"unknown step mode {self.step_mode!r}")
+        if self.kind == "stoch_cg" and self.step_mode != "optimal_line_search":
+            raise ValueError("stoch_cg conjugates against the J p of the previous line "
+                             "search, so it needs step_mode 'optimal_line_search'")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.reset_period is not None and self.reset_period < 1:
@@ -93,10 +96,6 @@ class RunTrace:
     def initial_cost_true(self) -> float:
         return self.records[0].cost_true
 
-    @property
-    def initial_cost_measured(self) -> float:
-        return self.records[0].cost_measured
-
     def experiments_to_cost(self, threshold: float, measured: bool = False) -> int | None:
         """Cumulative experiments at the first record with cost <= threshold."""
         for rec in self.records:
@@ -133,32 +132,29 @@ def optimal_step(e: Signal, Jp: Signal) -> float:
     return e.dot(Jp) / denom
 
 
-def update_input(f: Signal, eps: float, p: Signal) -> Signal:
-    """Next trial input f + eps p."""
-    return f + eps * p
+def _over_budget(oracle: PlantOracle, budget: int | None, planned: int, j: int) -> bool:
+    """Whether the ``planned`` experiments of iteration j would exceed the budget.
+
+    A budget too small for the first iteration is a usage error, not a stop.
+    """
+    if budget is None or oracle.snapshot_count() + planned <= budget:
+        return False
+    if j == 1:
+        raise ValueError(f"budget {budget} cannot pay for the {planned} experiments "
+                         "of the first iteration")
+    return True
 
 
-def _planned_experiments(j: int, cfg: SolverConfig, n_pairs: int, reset_due: bool,
-                         decay_anchored: bool) -> int:
-    """Experiments the upcoming iteration will consume, for budget checks."""
-    n = 1  # error trial
-    n += 1 if cfg.effective_estimator == "single" else n_pairs
-    if cfg.kind == "stoch_cg" and j > 1 and not reset_due:
-        n += 1  # probe J g for the conjugation coefficient
-    if cfg.step_mode == "optimal_line_search":
-        n += 1  # probe J p for the line search
-    elif not decay_anchored and j == 1:
-        n += 1  # one-off line-search probe that anchors the decay schedule
-    return n
+def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -> RunTrace:
+    """Shared loop behind the stochastic/deterministic CG and GD solvers.
 
-
-def _run_iterative(oracle: PlantOracle, cfg: SolverConfig,
-                   budget: int | None = None) -> RunTrace:
-    """Shared loop behind the stochastic/deterministic CG and GD solvers."""
+    Each iteration plans its experiments once (trial, gradient, ``probe_Jg``,
+    ``line_search``); the budget check and the loop body read the same plan.
+    """
     is_cg = cfg.kind in ("stoch_cg", "det_cg")
-    use_fletcher_reeves = cfg.kind == "det_cg"
     single = cfg.effective_estimator == "single"
     optimal_mode = cfg.step_mode == "optimal_line_search"
+    gradient_experiments = 1 if single else oracle.n_i * oracle.n_o
     mask_rng = stream(cfg.seed, MASK_STREAM)
 
     trace = RunTrace(config=cfg, stop_reason="max_iterations")
@@ -169,7 +165,6 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig,
     gain_sq_est = 0.0  # running lower bound on ||J||^2 from probe responses
     cost0_true: float | None = None
     decay_a = cfg.decay_a
-    n_pairs = oracle.n_i * oracle.n_o
 
     def observe(u: Signal, w: Signal) -> float:
         nonlocal gain_sq_est
@@ -181,18 +176,20 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig,
     for j in range(1, cfg.max_iterations + 1):
         reset_due = (is_cg and cfg.reset_period is not None and j > 1
                      and (j - 1) % cfg.reset_period == 0)
-        if budget is not None:
-            planned = _planned_experiments(j, cfg, n_pairs, reset_due, decay_a is not None)
-            if oracle.snapshot_count() + planned > budget:
-                trace.stop_reason = "budget"
-                break
+        conjugate = is_cg and j > 1 and not reset_due
+        probe_Jg = cfg.kind == "stoch_cg" and conjugate
+        line_search = optimal_mode or decay_a is None
+        planned = 1 + gradient_experiments + probe_Jg + line_search
+        if _over_budget(oracle, budget, planned, j):
+            trace.stop_reason = "budget"
+            break
 
         e, cost_measured = oracle.run_trial(f)
         experiments_at_trial = oracle.snapshot_count()
         cost_true = oracle.true_cost(f)
         if cost0_true is None:
             cost0_true = cost_true
-        if cost_true <= cfg.cost_tol * cost0_true:
+        if cost_true <= COST_TOL * cost0_true:
             trace.records.append(IterationRecord(
                 j, experiments_at_trial, cost_measured, cost_true, None, None, False))
             trace.stop_reason = "cost_tol"
@@ -205,35 +202,31 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig,
 
         tau: float | None = None
         reset_flag = False
-        if is_cg and j > 1 and not reset_due:
-            if use_fletcher_reeves:
-                assert g_prev is not None
-                denom = g_prev.norm_sq()
-                if denom > 0.0:
-                    tau = fletcher_reeves_coefficient(g, g_prev)
-                    p = g + tau * p
-                else:
-                    p, reset_flag = g, True
+        if probe_Jg:
+            Jg = oracle.probe(g)
+            observe(g, Jg)
+            denom = Jp_prev.norm_sq()
+            if denom > EPS_DENOMINATOR_TOL * p.norm_sq() * gain_sq_est and denom > 0.0:
+                tau = conjugation_coefficient(Jp_prev, Jg)
+                p = g + tau * p
             else:
-                Jg = oracle.probe(g)
-                observe(g, Jg)
-                assert Jp_prev is not None and p is not None
-                denom = Jp_prev.norm_sq()
-                if denom > cfg.eps_denominator_tol * p.norm_sq() * gain_sq_est and denom > 0.0:
-                    tau = conjugation_coefficient(Jp_prev, Jg)
-                    p = g + tau * p
-                else:
-                    p, reset_flag = g, True
+                p, reset_flag = g, True
+        elif conjugate:  # Fletcher-Reeves
+            if g_prev.norm_sq() > 0.0:
+                tau = fletcher_reeves_coefficient(g, g_prev)
+                p = g + tau * p
+            else:
+                p, reset_flag = g, True
         else:
             p = g
             reset_flag = is_cg and j > 1  # scheduled reset to the gradient
 
         eps: float | None
-        if optimal_mode or (decay_a is None and j == 1):
+        if line_search:
             Jp = oracle.probe(p)
             pn = observe(p, Jp)
             denom = Jp.norm_sq()
-            if denom <= cfg.eps_denominator_tol * pn * gain_sq_est or denom <= 0.0:
+            if denom <= EPS_DENOMINATOR_TOL * pn * gain_sq_est or denom <= 0.0:
                 trace.records.append(IterationRecord(
                     j, experiments_at_trial, cost_measured, cost_true, None, tau, reset_flag))
                 trace.stop_reason = "degenerate_direction"
@@ -246,7 +239,7 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig,
             # descend along the (uphill) gradient direction
             eps = -decay_a / float(j) ** cfg.decay_gamma
 
-        f = update_input(f, eps, p)
+        f = f + eps * p
         g_prev = g
         trace.records.append(IterationRecord(
             j, experiments_at_trial, cost_measured, cost_true, eps, tau, reset_flag))
@@ -255,44 +248,15 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig,
     return trace
 
 
-def run_stochastic_cg(oracle: PlantOracle, cfg: SolverConfig,
-                      budget: int | None = None) -> RunTrace:
-    """Conjugate-direction learning with measured tau and eps per iteration.
-
-    Iteration 1 costs 3 experiments (trial, gradient, J p); later iterations
-    add one J g probe for the conjugation coefficient, reusing the previous
-    J p measurement, for 4 experiments total.
-    """
-    if cfg.kind != "stoch_cg":
-        raise ValueError("config kind must be stoch_cg")
-    return _run_iterative(oracle, cfg, budget)
-
-
-def run_deterministic_cg(oracle: PlantOracle, cfg: SolverConfig,
-                         budget: int | None = None) -> RunTrace:
-    """CG with full selector-experiment gradients and the Fletcher-Reeves ratio."""
-    if cfg.kind != "det_cg":
-        raise ValueError("config kind must be det_cg")
-    return _run_iterative(oracle, cfg, budget)
-
-
-def run_gradient_descent(oracle: PlantOracle, cfg: SolverConfig,
-                         budget: int | None = None) -> RunTrace:
-    """Gradient descent (tau = 0) with optimal or decaying steps."""
-    if cfg.kind not in ("stoch_gd", "det_gd"):
-        raise ValueError("config kind must be stoch_gd or det_gd")
-    return _run_iterative(oracle, cfg, budget)
-
-
-def run_norm_optimal(oracle: PlantOracle, cfg: SolverConfig, system: LiftedSystem,
-                     budget: int | None = None) -> RunTrace:
+def _run_norm_optimal(oracle: PlantOracle, cfg: SolverConfig, system: LiftedSystem,
+                      budget: int | None) -> RunTrace:
     """Model-based one-shot update f2 = f1 + (J^T J)^-1 J^T e1.
 
     Simulation-only reference; requires the true lifted operator.  Rank
     deficiency falls back to the pseudo-inverse and is noted on the trace.
+    Spends two trials, which count as one iteration against the budget.
     """
-    if cfg.kind != "norm_optimal":
-        raise ValueError("config kind must be norm_optimal")
+    _over_budget(oracle, budget, planned=2, j=1)
     trace = RunTrace(config=cfg, stop_reason="completed")
     f1 = Signal.zeros("input", oracle.N, oracle.n_i)
     e1, cost1 = oracle.run_trial(f1)
@@ -311,13 +275,18 @@ def run_norm_optimal(oracle: PlantOracle, cfg: SolverConfig, system: LiftedSyste
 
 def run_solver(oracle: PlantOracle, cfg: SolverConfig, budget: int | None = None,
                system: LiftedSystem | None = None) -> RunTrace:
-    """Dispatch on cfg.kind; ``system`` is only needed for norm_optimal."""
-    if cfg.kind == "stoch_cg":
-        return run_stochastic_cg(oracle, cfg, budget)
-    if cfg.kind == "det_cg":
-        return run_deterministic_cg(oracle, cfg, budget)
-    if cfg.kind in ("stoch_gd", "det_gd"):
-        return run_gradient_descent(oracle, cfg, budget)
+    """Run the solver of ``cfg.kind`` until its stop rule or ``budget`` experiments.
+
+    Stochastic CG spends 3 experiments in its first iteration (trial,
+    gradient, J p) and 4 in later ones (plus J g for the measured
+    conjugation coefficient); the J p of one iteration is reused by the next.
+    Deterministic CG uses full selector-experiment gradients and the
+    Fletcher-Reeves ratio; gradient descent uses tau = 0 with optimal or
+    decaying steps.  ``system`` is only needed for norm_optimal.  Raises
+    ValueError when ``budget`` cannot pay for the first iteration.
+    """
+    if cfg.kind != "norm_optimal":
+        return _run_iterative(oracle, cfg, budget)
     if system is None:
         raise ValueError("norm_optimal requires model access (the lifted system)")
-    return run_norm_optimal(oracle, cfg, system, budget)
+    return _run_norm_optimal(oracle, cfg, system, budget)

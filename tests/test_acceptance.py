@@ -29,8 +29,7 @@ from cgilc import (
     lift,
     make_step_disturbance,
     optimal_step,
-    run_deterministic_cg,
-    run_stochastic_cg,
+    run_solver,
     stochastic_gradient,
     time_reverse,
 )
@@ -189,7 +188,7 @@ class TestCriterion4FiniteTermination:
         ss = generate_system(4, 2, 2, seed=1)
         J = lift(ss, N=8)
         oracle = PlantOracle(J, make_step_disturbance(8, 2, 1.0))
-        trace = run_deterministic_cg(oracle, SolverConfig("det_cg", max_iterations=20))
+        trace = run_solver(oracle, SolverConfig("det_cg", max_iterations=20))
         j0 = trace.initial_cost_true
         hits = [r.j for r in trace.records if r.cost_true <= 1e-16 * j0]
         assert hits, "cost never fell below 1e-16 of the initial cost"
@@ -335,7 +334,7 @@ class TestCriterion6Figure4:
 
         def run(noise, s):
             oracle = _LineSearchRecorder(raw, r, noise)
-            trace = run_deterministic_cg(
+            trace = run_solver(
                 oracle, SolverConfig("det_cg", max_iterations=DET_CG_NOISY_ITERS,
                                      seed=combine(61, s)))
             return trace, _successive_cosines(raw, oracle.directions)
@@ -363,7 +362,7 @@ class TestCriterion6Figure4:
         for s in range(N_NOISY_SEEDS):
             oracle = PlantOracle(cond, r, NoiseModel("gaussian", sigma,
                                                      seed=combine(70, s)))
-            trace = run_stochastic_cg(
+            trace = run_solver(
                 oracle, SolverConfig("stoch_cg", max_iterations=STOCH_BUDGET // 4,
                                      reset_period=20, seed=combine(71, s)),
                 budget=STOCH_BUDGET)
@@ -375,13 +374,13 @@ class TestCriterion6Figure4:
     def test_c_single_estimator_beats_full_estimator(self, noisy_setup):
         cond, _, r, sigma = noisy_setup
         for s in range(N_NOISY_SEEDS):
-            single = run_stochastic_cg(
+            single = run_solver(
                 PlantOracle(cond, r, NoiseModel("gaussian", sigma,
                                                 seed=combine(80, s))),
                 SolverConfig("stoch_cg", max_iterations=STOCH_BUDGET // 4,
                              reset_period=20, seed=combine(81, s)),
                 budget=STOCH_BUDGET)
-            full = run_stochastic_cg(
+            full = run_solver(
                 PlantOracle(cond, r, NoiseModel("gaussian", sigma,
                                                 seed=combine(80, s))),
                 SolverConfig("stoch_cg", max_iterations=40, reset_period=20,

@@ -267,6 +267,53 @@ class TestCli:
         spec_path.write_text(json.dumps(doc))
         assert main(["run", "--spec", str(spec_path), "--out-dir", str(tmp_path)]) == 2
 
+    def run_doc(self, tmp_path, doc):
+        spec_path = tmp_path / "bench.json"
+        spec_path.write_text(json.dumps(doc))
+        return main(["run", "--spec", str(spec_path), "--out-dir", str(tmp_path / "out")])
+
+    def custom_disturbance_doc(self, tmp_path, dist):
+        dist_path = tmp_path / "dist.json"
+        dist_path.write_text(json.dumps(dist))
+        doc = tiny_spec_doc()
+        doc["disturbance"] = {"kind": "custom", "path": str(dist_path)}
+        return doc
+
+    def test_mismatched_custom_disturbance_is_usage_error(self, tmp_path, capsys):
+        doc = self.custom_disturbance_doc(tmp_path, {"N": 5, "channels": 2, "data": [0.5] * 10})
+        assert self.run_doc(tmp_path, doc) == 2
+        assert "the plant has N=6 and 2 outputs" in capsys.readouterr().err
+
+    def test_disturbance_without_channels_is_usage_error(self, tmp_path, capsys):
+        doc = self.custom_disturbance_doc(tmp_path, {"N": 6, "data": [0.5] * 12})
+        assert self.run_doc(tmp_path, doc) == 2
+        assert "lacks field 'channels'" in capsys.readouterr().err
+
+    def test_non_finite_custom_disturbance_is_usage_error(self, tmp_path, capsys):
+        doc = self.custom_disturbance_doc(tmp_path, {"N": 6, "channels": 2,
+                                                     "data": [float("nan")] + [0.5] * 11})
+        assert self.run_doc(tmp_path, doc) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_missing_custom_disturbance_file_is_usage_error(self, tmp_path):
+        doc = tiny_spec_doc()
+        doc["disturbance"] = {"kind": "custom", "path": str(tmp_path / "none.json")}
+        assert self.run_doc(tmp_path, doc) == 2
+
+    def test_missing_system_file_is_usage_error(self, tmp_path):
+        doc = tiny_spec_doc()
+        doc["system"] = {"load": str(tmp_path / "none.json")}
+        assert self.run_doc(tmp_path, doc) == 2
+
+    def test_budget_below_first_iteration_records_errors(self, tmp_path, capsys):
+        doc = tiny_spec_doc(budget=1)
+        doc["solvers"].append({"kind": "norm_optimal"})
+        assert self.run_doc(tmp_path, doc) == 0
+        assert "6 runs (6 failed)" in capsys.readouterr().out
+        summary = (tmp_path / "out" / "summary.csv").read_text()
+        for first in (3, 6, 2):  # stoch_cg, det_gd on 2x2 channels, norm_optimal
+            assert summary.count(f"error: budget 1 cannot pay for the {first} experiments") == 2
+
     def test_plot_all_missing_fails(self, tmp_path):
         assert main(["plot", "--out", str(tmp_path / "f.svg"),
                      str(tmp_path / "missing.csv")]) == 1

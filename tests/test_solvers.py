@@ -12,12 +12,7 @@ from cgilc import (
     fletcher_reeves_coefficient,
     make_step_disturbance,
     optimal_step,
-    run_deterministic_cg,
-    run_gradient_descent,
-    run_norm_optimal,
     run_solver,
-    run_stochastic_cg,
-    update_input,
 )
 from cgilc.solvers import DegenerateDirectionError
 from conftest import rel_err, small_system
@@ -99,32 +94,31 @@ class TestUpdateInput:
     def test_zero_step_or_direction(self, rng):
         f = Signal(rng.standard_normal(6), "input", 3, 2)
         p = Signal(rng.standard_normal(6), "input", 3, 2)
-        assert np.array_equal(update_input(f, 0.0, p).data, f.data)
-        assert np.array_equal(update_input(f, 2.0, Signal.zeros("input", 3, 2)).data,
-                              f.data)
+        assert np.array_equal((f + 0.0 * p).data, f.data)
+        assert np.array_equal((f + 2.0 * Signal.zeros("input", 3, 2)).data, f.data)
 
     def test_two_half_steps(self, rng):
         f = Signal(rng.standard_normal(6), "input", 3, 2)
         p = Signal(rng.standard_normal(6), "input", 3, 2)
-        once = update_input(f, 2 * 0.3, p)
-        twice = update_input(update_input(f, 0.3, p), 0.3, p)
+        once = f + (2 * 0.3) * p
+        twice = (f + 0.3 * p) + 0.3 * p
         assert rel_err(once.data, twice.data) < 1e-15
 
 
 class TestExperimentAccounting:
     def test_stochastic_cg_three_then_four(self):
         _, J = small_system(seed=1)
-        trace = run_stochastic_cg(fresh_oracle(J),
-                                  SolverConfig("stoch_cg", max_iterations=6, seed=0))
+        trace = run_solver(fresh_oracle(J),
+                           SolverConfig("stoch_cg", max_iterations=6, seed=0))
         exps = [r.experiments_cum for r in trace.records]
         assert exps[0] == 1
         assert np.diff(exps).tolist() == [3, 4, 4, 4, 4]
 
     def test_stochastic_cg_resets_skip_conjugation_probe(self):
         _, J = small_system(seed=1)
-        trace = run_stochastic_cg(fresh_oracle(J),
-                                  SolverConfig("stoch_cg", max_iterations=7,
-                                               reset_period=2, seed=0))
+        trace = run_solver(fresh_oracle(J),
+                           SolverConfig("stoch_cg", max_iterations=7,
+                                        reset_period=2, seed=0))
         exps = [r.experiments_cum for r in trace.records]
         # resets at j = 3, 5, 7 omit the J g probe
         assert np.diff(exps).tolist() == [3, 4, 3, 4, 3, 4]
@@ -134,24 +128,23 @@ class TestExperimentAccounting:
     def test_deterministic_methods_pairs_plus_two(self):
         _, J = small_system(seed=1, n_i=2, n_o=3)
         m = 6
-        for kind, runner in (("det_cg", run_deterministic_cg),
-                             ("det_gd", run_gradient_descent)):
-            trace = runner(fresh_oracle(J), SolverConfig(kind, max_iterations=4))
+        for kind in ("det_cg", "det_gd"):
+            trace = run_solver(fresh_oracle(J), SolverConfig(kind, max_iterations=4))
             exps = [r.experiments_cum for r in trace.records]
             assert exps[0] == 1
             assert all(d == m + 2 for d in np.diff(exps))
 
     def test_stochastic_gd_costs(self):
         _, J = small_system(seed=1)
-        opt = run_gradient_descent(fresh_oracle(J),
-                                   SolverConfig("stoch_gd", max_iterations=5, seed=3))
+        opt = run_solver(fresh_oracle(J),
+                         SolverConfig("stoch_gd", max_iterations=5, seed=3))
         assert np.diff([r.experiments_cum for r in opt.records]).tolist() == [3, 3, 3, 3]
-        dec = run_gradient_descent(
+        dec = run_solver(
             fresh_oracle(J),
             SolverConfig("stoch_gd", max_iterations=5, seed=3,
                          step_mode="decaying", decay_a=0.1))
         assert np.diff([r.experiments_cum for r in dec.records]).tolist() == [2, 2, 2, 2]
-        anchored = run_gradient_descent(
+        anchored = run_solver(
             fresh_oracle(J),
             SolverConfig("stoch_gd", max_iterations=5, seed=3, step_mode="decaying"))
         assert np.diff([r.experiments_cum for r in anchored.records]).tolist() == [3, 2, 2, 2]
@@ -160,17 +153,17 @@ class TestExperimentAccounting:
 class TestStochasticCg:
     def test_siso_matches_deterministic_cg(self):
         _, J = small_system(seed=6, n_i=1, n_o=1, N=10)
-        stoch = run_stochastic_cg(fresh_oracle(J),
-                                  SolverConfig("stoch_cg", max_iterations=8, seed=0))
-        det = run_deterministic_cg(fresh_oracle(J),
-                                   SolverConfig("det_cg", max_iterations=8))
+        stoch = run_solver(fresh_oracle(J),
+                           SolverConfig("stoch_cg", max_iterations=8, seed=0))
+        det = run_solver(fresh_oracle(J),
+                         SolverConfig("det_cg", max_iterations=8))
         for rs, rd in zip(stoch.records, det.records):
             assert rel_err(rs.cost_true, rd.cost_true) < 1e-8
 
     def test_true_cost_never_increases_noise_free(self):
         for seed in range(20):
             _, J = small_system(seed=seed % 5, n_i=2, n_o=2, N=6)
-            trace = run_stochastic_cg(
+            trace = run_solver(
                 fresh_oracle(J), SolverConfig("stoch_cg", max_iterations=15, seed=seed))
             costs = [r.cost_true for r in trace.records]
             assert all(b <= a * (1 + 1e-12) for a, b in zip(costs, costs[1:]))
@@ -178,10 +171,10 @@ class TestStochasticCg:
     def test_reset_every_iteration_equals_gradient_descent(self):
         _, J = small_system(seed=3, n_i=2, n_o=2, N=6)
         noise = NoiseModel("gaussian", 0.05, seed=11)
-        cg = run_stochastic_cg(
+        cg = run_solver(
             fresh_oracle(J, noise),
             SolverConfig("stoch_cg", max_iterations=10, reset_period=1, seed=5))
-        gd = run_gradient_descent(
+        gd = run_solver(
             fresh_oracle(J, noise),
             SolverConfig("stoch_gd", max_iterations=10, seed=5))
         assert len(cg.records) == len(gd.records)
@@ -195,8 +188,8 @@ class TestStochasticCg:
         _, J = small_system(seed=2)
         noise = NoiseModel("gaussian", 0.02, seed=4)
         cfg = SolverConfig("stoch_cg", max_iterations=12, seed=9)
-        a = run_stochastic_cg(fresh_oracle(J, noise), cfg)
-        b = run_stochastic_cg(fresh_oracle(J, noise), cfg)
+        a = run_solver(fresh_oracle(J, noise), cfg)
+        b = run_solver(fresh_oracle(J, noise), cfg)
         assert len(a.records) == len(b.records)
         for ra, rb in zip(a.records, b.records):
             assert ra == rb
@@ -204,9 +197,9 @@ class TestStochasticCg:
 
     def test_budget_stops_run(self):
         _, J = small_system(seed=1)
-        trace = run_stochastic_cg(fresh_oracle(J),
-                                  SolverConfig("stoch_cg", max_iterations=50, seed=0),
-                                  budget=20)
+        trace = run_solver(fresh_oracle(J),
+                           SolverConfig("stoch_cg", max_iterations=50, seed=0),
+                           budget=20)
         assert trace.stop_reason == "budget"
         assert trace.records[-1].experiments_cum <= 20
 
@@ -218,7 +211,7 @@ class TestStochasticCg:
 
         _, J = small_system(seed=4, n_i=2, n_o=3, N=6)
         cfg = SolverConfig("stoch_cg", max_iterations=12, seed=21)
-        trace = run_stochastic_cg(fresh_oracle(J), cfg)
+        trace = run_solver(fresh_oracle(J), cfg)
         r = make_step_disturbance(J.N, J.n_o, 1.0).data
         Jm = J.matrix
         rev_in, rev_out = TimeReversal(J.N, J.n_i), TimeReversal(J.N, J.n_o)
@@ -259,8 +252,8 @@ class TestDeterministicCg:
         # dimensions N*n_i = 16 and 32; well-conditioned seed
         _, J = small_system(seed=1, n_x=4, n_i=2, n_o=2, N=N)
         dim = N * 2
-        trace = run_deterministic_cg(fresh_oracle(J),
-                                     SolverConfig("det_cg", max_iterations=dim + 5))
+        trace = run_solver(fresh_oracle(J),
+                           SolverConfig("det_cg", max_iterations=dim + 5))
         j0 = trace.initial_cost_true
         hit = [r.j for r in trace.records if r.cost_true <= 1e-16 * j0]
         assert hit, "never reached 1e-16 of the initial cost"
@@ -271,8 +264,8 @@ class TestDeterministicCg:
         # offline replay of the same recursion; checks the solver's arithmetic
         # and the pairwise conjugacy of successive directions
         _, J = small_system(seed=1, n_x=4, n_i=2, n_o=2, N=8)
-        trace = run_deterministic_cg(fresh_oracle(J),
-                                     SolverConfig("det_cg", max_iterations=20))
+        trace = run_solver(fresh_oracle(J),
+                           SolverConfig("det_cg", max_iterations=20))
         r = make_step_disturbance(J.N, J.n_o, 1.0).data
         Jm = J.matrix
         f = np.zeros(J.N * J.n_i)
@@ -302,9 +295,9 @@ class TestDeterministicCg:
         # with exact gradients the classical ratio and the measured coefficient
         # generate the same direction sequence
         _, J = small_system(seed=1, n_x=4, n_i=2, n_o=2, N=8)
-        fr = run_deterministic_cg(fresh_oracle(J),
-                                  SolverConfig("det_cg", max_iterations=10))
-        measured = run_stochastic_cg(
+        fr = run_solver(fresh_oracle(J),
+                        SolverConfig("det_cg", max_iterations=10))
+        measured = run_solver(
             fresh_oracle(J),
             SolverConfig("stoch_cg", max_iterations=10, estimator="full"))
         n = min(len(fr.records), len(measured.records), 10)
@@ -341,10 +334,10 @@ class TestGradientDescent:
 
     def test_krylov_iterates_dominate_gradient_descent(self):
         _, J = small_system(seed=1, n_x=4, n_i=2, n_o=2, N=8)
-        cg = run_deterministic_cg(fresh_oracle(J),
-                                  SolverConfig("det_cg", max_iterations=12))
-        gd = run_gradient_descent(fresh_oracle(J),
-                                  SolverConfig("det_gd", max_iterations=12))
+        cg = run_solver(fresh_oracle(J),
+                        SolverConfig("det_cg", max_iterations=12))
+        gd = run_solver(fresh_oracle(J),
+                        SolverConfig("det_gd", max_iterations=12))
         for rc, rg in zip(cg.records, gd.records):
             assert rc.cost_true <= rg.cost_true * (1 + 1e-10)
         for trace in (cg, gd):
@@ -354,7 +347,7 @@ class TestGradientDescent:
     def test_decaying_steps_follow_schedule(self):
         _, J = small_system(seed=2)
         a, gamma = 0.05, 0.8
-        trace = run_gradient_descent(
+        trace = run_solver(
             fresh_oracle(J),
             SolverConfig("det_gd", max_iterations=5, step_mode="decaying",
                          decay_a=a, decay_gamma=gamma))
@@ -363,10 +356,10 @@ class TestGradientDescent:
 
     def test_decay_anchor_uses_first_measured_step(self):
         _, J = small_system(seed=2)
-        opt = run_gradient_descent(fresh_oracle(J),
-                                   SolverConfig("det_gd", max_iterations=1))
+        opt = run_solver(fresh_oracle(J),
+                         SolverConfig("det_gd", max_iterations=1))
         eps1 = opt.records[0].epsilon
-        dec = run_gradient_descent(
+        dec = run_solver(
             fresh_oracle(J),
             SolverConfig("det_gd", max_iterations=4, step_mode="decaying"))
         assert dec.records[0].epsilon == pytest.approx(eps1, rel=1e-12)
@@ -377,22 +370,22 @@ class TestNormOptimal:
     def test_one_shot_reaches_zero_cost(self):
         _, J = small_system(seed=1)
         oracle = fresh_oracle(J)
-        trace = run_norm_optimal(oracle, SolverConfig("norm_optimal"), J)
+        trace = run_solver(oracle, SolverConfig("norm_optimal"), system=J)
         assert len(trace.records) == 2
         assert oracle.snapshot_count() == 2
         assert trace.records[1].cost_true <= 1e-16 * trace.records[0].cost_true
 
     def test_matches_deterministic_cg_limit(self):
         _, J = small_system(seed=1, n_x=4, n_i=2, n_o=2, N=8)
-        no = run_norm_optimal(fresh_oracle(J), SolverConfig("norm_optimal"), J)
-        cg = run_deterministic_cg(fresh_oracle(J),
-                                  SolverConfig("det_cg", max_iterations=25))
+        no = run_solver(fresh_oracle(J), SolverConfig("norm_optimal"), system=J)
+        cg = run_solver(fresh_oracle(J),
+                        SolverConfig("det_cg", max_iterations=25))
         assert rel_err(no.final_input.data, cg.final_input.data) < 1e-6
 
     def test_zero_disturbance_leaves_input_unchanged(self):
         _, J = small_system(seed=1)
-        trace = run_norm_optimal(fresh_oracle(J, amplitude=0.0),
-                                 SolverConfig("norm_optimal"), J)
+        trace = run_solver(fresh_oracle(J, amplitude=0.0),
+                           SolverConfig("norm_optimal"), system=J)
         assert np.array_equal(trace.final_input.data, np.zeros(J.N * J.n_i))
 
 
@@ -411,10 +404,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig("stoch_gd", step_mode="decaying", decay_gamma=0.4)
 
+    def test_rejects_stoch_cg_without_line_search(self):
+        for decay_a in (None, 0.1):
+            with pytest.raises(ValueError, match="optimal_line_search"):
+                SolverConfig("stoch_cg", step_mode="decaying", decay_a=decay_a)
+
     def test_kind_mismatch_guards(self):
         _, J = small_system(seed=1)
-        with pytest.raises(ValueError):
-            run_stochastic_cg(fresh_oracle(J), SolverConfig("det_cg"))
         with pytest.raises(ValueError):
             run_solver(fresh_oracle(J), SolverConfig("norm_optimal"))
 
@@ -423,14 +419,72 @@ class TestDegenerateCases:
     def test_zero_plant_terminates_cleanly(self):
         from cgilc import LiftedSystem
         J = LiftedSystem(np.zeros((8, 8)), N=4, n_i=2, n_o=2)
-        trace = run_stochastic_cg(fresh_oracle(J),
-                                  SolverConfig("stoch_cg", max_iterations=5, seed=0))
+        trace = run_solver(fresh_oracle(J),
+                           SolverConfig("stoch_cg", max_iterations=5, seed=0))
         assert trace.stop_reason == "degenerate_direction"
         assert trace.records[-1].epsilon is None
 
     def test_zero_disturbance_stops_at_first_iteration(self):
         _, J = small_system(seed=1)
-        trace = run_stochastic_cg(fresh_oracle(J, amplitude=0.0),
-                                  SolverConfig("stoch_cg", max_iterations=5, seed=0))
+        trace = run_solver(fresh_oracle(J, amplitude=0.0),
+                           SolverConfig("stoch_cg", max_iterations=5, seed=0))
         assert len(trace.records) == 1
         assert trace.stop_reason == "cost_tol"
+
+
+PLAN_GRID = [
+    SolverConfig(kind, max_iterations=6, step_mode=step_mode, decay_a=decay_a,
+                 reset_period=reset_period, estimator=estimator, seed=2)
+    for kind in ("stoch_cg", "det_cg", "stoch_gd", "det_gd")
+    for step_mode, decay_a in (("optimal_line_search", None), ("decaying", 0.05),
+                               ("decaying", None))
+    for reset_period in (None, 2)
+    for estimator in (None, "single", "full")
+    if kind != "stoch_cg" or step_mode == "optimal_line_search"
+]
+
+
+class TestPlanEqualsExecution:
+    """The budget check plans exactly the experiments each iteration spends."""
+
+    @pytest.mark.parametrize("cfg", PLAN_GRID, ids=lambda c: (
+        f"{c.kind}-{c.step_mode}-a{c.decay_a}-r{c.reset_period}-{c.estimator}"))
+    def test_budget_cuts_run_at_every_iteration(self, cfg):
+        _, J = small_system(seed=1, n_x=3, n_i=2, n_o=3, N=4)
+        full = run_solver(fresh_oracle(J), cfg)
+        exps = [r.experiments_cum for r in full.records]
+        for k in range(1, len(exps)):
+            # just enough for k iterations: stop there, having spent all of it
+            oracle = fresh_oracle(J)
+            cut = run_solver(oracle, cfg, budget=exps[k] - 1)
+            assert cut.records == full.records[:k]
+            assert cut.stop_reason == "budget"
+            assert oracle.snapshot_count() == exps[k] - 1
+            # one short: iteration k must not start
+            oracle = fresh_oracle(J)
+            if k == 1:
+                with pytest.raises(ValueError, match="first iteration"):
+                    run_solver(oracle, cfg, budget=exps[1] - 2)
+                continue
+            short = run_solver(oracle, cfg, budget=exps[k] - 2)
+            assert short.records == full.records[:k - 1]
+            assert oracle.snapshot_count() == exps[k - 1] - 1
+
+
+class TestBudgetTooSmall:
+    @pytest.mark.parametrize("kind,first", [("stoch_cg", 3), ("det_cg", 6), ("stoch_gd", 3)])
+    def test_iterative_solvers_raise(self, kind, first):
+        _, J = small_system(seed=1)
+        oracle = fresh_oracle(J)
+        with pytest.raises(ValueError, match=f"budget 2 cannot pay for the {first} experiments"):
+            run_solver(oracle, SolverConfig(kind), budget=2)
+        assert oracle.snapshot_count() == 0
+
+    def test_norm_optimal_raises(self):
+        _, J = small_system(seed=1)
+        oracle = fresh_oracle(J)
+        with pytest.raises(ValueError, match="budget 1 cannot pay for the 2 experiments"):
+            run_solver(oracle, SolverConfig("norm_optimal"), budget=1, system=J)
+        assert oracle.snapshot_count() == 0
+        assert len(run_solver(fresh_oracle(J), SolverConfig("norm_optimal"), budget=2,
+                              system=J).records) == 2

@@ -8,7 +8,7 @@ from cgilc import (
     generate_system,
     lift,
     make_step_disturbance,
-    run_stochastic_cg,
+    run_solver,
 )
 
 
@@ -66,7 +66,7 @@ class TestStepDisturbance:
         ss = generate_system(3, 2, 2, seed=1)
         J = lift(ss, N=5)
         oracle = PlantOracle(J, make_step_disturbance(5, 2, 0.0), NoiseModel())
-        trace = run_stochastic_cg(oracle, SolverConfig("stoch_cg", max_iterations=10))
+        trace = run_solver(oracle, SolverConfig("stoch_cg", max_iterations=10))
         assert len(trace.records) == 1
 
     def test_rejects_non_finite(self):
