@@ -9,6 +9,8 @@ push the cost below 1e-1, 1e-2 and 1e-3 of its initial value.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import re
@@ -177,6 +179,8 @@ class RunSummary:
     final_cost_measured: float | None = None
     final_cost_true: float | None = None
     diverged: bool = False
+    stop_reason: str = ""
+    notes: str = ""
     csv_path: str | None = None
 
 
@@ -211,17 +215,22 @@ def summarize_trace(trace: RunTrace, noisy: bool) -> RunSummary:
     summary.final_cost_measured = last.cost_measured
     summary.final_cost_true = last.cost_true
     summary.diverged = last.cost_measured > first.cost_measured
+    summary.stop_reason = trace.stop_reason
+    summary.notes = trace.notes
     return summary
 
 
 def summary_to_csv(summaries: list[RunSummary]) -> str:
-    cols = ["label", "kind", "run_seed", "status", "initial_cost",
-            "exp_to_1e-1", "exp_to_1e-2", "exp_to_1e-3",
-            "final_cost_measured", "final_cost_true", "diverged"]
-    lines = [",".join(cols)]
+    """The summary table as CSV text; fields holding commas or quotes are quoted."""
+    fmt = lambda v: "" if v is None else f"{v:.16e}"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["label", "kind", "run_seed", "status", "initial_cost",
+                     "exp_to_1e-1", "exp_to_1e-2", "exp_to_1e-3",
+                     "final_cost_measured", "final_cost_true", "diverged",
+                     "stop_reason", "notes"])
     for s in summaries:
-        fmt = lambda v: "" if v is None else f"{v:.16e}"
-        row = [
+        writer.writerow([
             s.label, s.kind, str(s.run_seed), s.status,
             fmt(s.initial_cost),
             *["" if s.experiments_to.get(th) is None else str(s.experiments_to[th])
@@ -229,9 +238,10 @@ def summary_to_csv(summaries: list[RunSummary]) -> str:
             fmt(s.final_cost_measured),
             fmt(s.final_cost_true),
             "1" if s.diverged else "0",
-        ]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+            s.stop_reason,
+            s.notes,
+        ])
+    return buf.getvalue()
 
 
 def run_benchmark(spec: BenchmarkSpec, out_dir) -> BenchmarkResult:

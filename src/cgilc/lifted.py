@@ -4,14 +4,27 @@ A system with ``n_i`` inputs and ``n_o`` outputs acting over a finite trial
 of ``N`` samples is represented by a dense matrix built from ``n_o x n_i``
 lower-triangular Toeplitz blocks, one per input/output channel pair.  Signals
 are stacked channel-major: channel ``l`` occupies the slice ``[l*N, (l+1)*N)``.
+
+Large operators are applied by FFT block convolution of their Markov
+parameters (Golub & Van Loan, *Matrix Computations*, section 4.7) instead of
+the dense product; see :meth:`LiftedSystem.product`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+
+# Operators of at least this many entries are applied by FFT convolution.  One
+# apply (one BLAS thread, 2-vCPU x86-64 guest) took 21 us by FFT against 5.7 us
+# dense at 36,864 entries, 26 us against 46 us at 262,144, and 0.07 ms against
+# 1.4 ms at 4.41M.
+STRUCTURED_MIN_ENTRIES = 2 ** 18
+FFT_BATCH_COLUMNS = 64  # columns per FFT chunk, which bounds transient memory
 
 
 class LiftingError(ValueError):
@@ -153,7 +166,10 @@ class TimeReversal:
 
 @dataclass(frozen=True)
 class LiftedSystem:
-    """Dense lifted operator mapping stacked inputs to stacked outputs."""
+    """Lifted operator mapping stacked inputs to stacked outputs.
+
+    ``matrix`` holds the operator dense; :meth:`product` applies it.
+    """
 
     matrix: np.ndarray
     N: int
@@ -171,6 +187,49 @@ class LiftedSystem:
         """The N x N Toeplitz block from input channel ``m`` to output ``l``."""
         N = self.N
         return self.matrix[l * N:(l + 1) * N, m * N:(m + 1) * N]
+
+    @cached_property
+    def _spectrum(self) -> np.ndarray | None:
+        """Markov parameters at 2N-point frequencies, shape (N+1, n_o, n_i).
+
+        Zero padding to 2N makes the circular convolution equal the causal
+        one on the first N samples.  None selects the dense product: for
+        operators below ``STRUCTURED_MIN_ENTRIES``, and for a hand-built
+        matrix that is not exactly block lower-triangular Toeplitz, whose
+        products must stay exact.
+        """
+        N, n_i, n_o = self.N, self.n_i, self.n_o
+        if self.matrix.size < STRUCTURED_MIN_ENTRIES:
+            return None
+        markov = self.matrix[:, ::N].reshape(n_o, N, n_i)
+        blocks = self.matrix.reshape(n_o, N, n_i, N)
+        for l in range(n_o):  # one block row at a time keeps the temporaries small
+            if (blocks[l, 0, :, 1:].any()
+                    or not np.array_equal(blocks[l, 1:, :, 1:], blocks[l, :-1, :, :-1])):
+                return None
+        if not np.isfinite(markov).all():
+            return None
+        return np.ascontiguousarray(np.fft.rfft(markov, n=2 * N, axis=1).transpose(1, 0, 2))
+
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """J x for stacked input data: one vector (N*n_i,) or columns (N*n_i, k).
+
+        Dense ``matrix @ x`` for small operators; for large ones the block
+        convolution by FFT, in chunks of ``FFT_BATCH_COLUMNS`` columns.
+        """
+        H = self._spectrum
+        if H is None:
+            return self.matrix @ x
+        N, n_i, n_o = self.N, self.n_i, self.n_o
+        cols = np.asarray(x, dtype=float).reshape(n_i * N, -1).T
+        out = np.empty((n_o * N, cols.shape[0]))
+        for start in range(0, cols.shape[0], FFT_BATCH_COLUMNS):
+            chunk = cols[start:start + FFT_BATCH_COLUMNS].reshape(-1, n_i, N)
+            xf = np.fft.rfft(chunk, n=2 * N, axis=2)
+            yf = H @ xf.transpose(2, 1, 0)  # (N+1, n_o, columns)
+            y = np.fft.irfft(yf.transpose(2, 1, 0), n=2 * N, axis=2)[..., :N]
+            out[:, start:start + FFT_BATCH_COLUMNS] = y.reshape(-1, n_o * N).T
+        return out if np.ndim(x) == 2 else out[:, 0]
 
 
 def markov_parameters(ss: StateSpace, N: int) -> np.ndarray:

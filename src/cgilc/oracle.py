@@ -3,7 +3,8 @@
 Solvers never touch the lifted matrix directly: every evaluation of the
 plant goes through :class:`PlantOracle`, which counts it as one experiment
 and optionally corrupts the measured output with Gaussian noise.  This is
-the simulation stand-in for running a physical trial.
+the simulation stand-in for running a physical trial; the plant is applied
+through :meth:`LiftedSystem.product`.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ class PlantOracle:
         self._noise = noise
         self._rng = stream(noise.seed, NOISE_STREAM)
         self._count = 0
+        self._last_trial: tuple[Signal | None, np.ndarray | None] = (None, None)
 
     @property
     def N(self) -> int:
@@ -86,34 +88,41 @@ class PlantOracle:
         """
         self._check_input(f)
         self._count += 1
-        y = self._measure(self._system.matrix @ f.data)
-        e = Signal(self._r.data - y, "output", self.N, self.n_o)
+        Jf = self._system.product(f.data)
+        self._last_trial = (f, Jf)
+        e = Signal(self._r.data - self._measure(Jf), "output", self.N, self.n_o)
         return e, e.norm_sq()
 
     def probe(self, u: Signal) -> Signal:
         """Dedicated experiment measuring J u + noise, without the disturbance."""
         self._check_input(u)
         self._count += 1
-        return Signal(self._measure(self._system.matrix @ u.data), "output", self.N, self.n_o)
+        return Signal(self._measure(self._system.product(u.data)), "output", self.N, self.n_o)
 
     def probe_many(self, inputs: list[Signal]) -> list[Signal]:
         """Run a batch of probes; counts one experiment per input.
 
-        Noise is drawn per probe in sequence, so the stream advances exactly
-        as it would for the equivalent loop of single probes.
+        The batch's noise is one (probes x samples) draw, which advances the
+        stream exactly as the equivalent loop of single probes would.
         """
         for u in inputs:
             self._check_input(u)
         self._count += len(inputs)
-        U = np.stack([u.data for u in inputs], axis=1)
-        W = self._system.matrix @ U
-        out = []
-        for k in range(W.shape[1]):
-            out.append(Signal(self._measure(W[:, k]), "output", self.N, self.n_o))
-        return out
+        W = self._system.product(np.stack([u.data for u in inputs], axis=1))
+        if self._noise.active:  # in place: W is this call's own array
+            noise = self._rng.standard_normal(W.shape[::-1])
+            noise *= self._noise.sigma
+            W += noise.T
+        return [Signal(w, "output", self.N, self.n_o) for w in W.T]
 
     def true_cost(self, f: Signal) -> float:
-        """Noise-free cost ||r - J f||^2; analysis bookkeeping, not an experiment."""
+        """Noise-free cost ||r - J f||^2; analysis bookkeeping, not an experiment.
+
+        Reuses the J f of the last trial when ``f`` is that trial's input.
+        """
         self._check_input(f)
-        e = self._r.data - self._system.matrix @ f.data
+        last_f, Jf = self._last_trial
+        if f is not last_f:
+            Jf = self._system.product(f.data)
+        e = self._r.data - Jf
         return float(e @ e)

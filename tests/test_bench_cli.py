@@ -1,10 +1,11 @@
+import csv
 import json
 import os
 
 import numpy as np
 import pytest
 
-from cgilc import NoiseModel, SolverConfig, generate_system, save_system
+from cgilc import NoiseModel, SolverConfig, StateSpace, generate_system, save_system
 from cgilc.bench import (
     BenchmarkSpec,
     GenerateSource,
@@ -132,6 +133,30 @@ class TestRunBenchmark:
         assert os.path.exists(result.summary_path)
         header = open(result.summary_path).readline().strip()
         assert header.split(",")[:4] == ["label", "kind", "run_seed", "status"]
+
+    def test_summary_keeps_stop_reason_notes_and_quoted_labels(self, tmp_path):
+        # n_x = 0 and D = 0 lift to the zero plant: norm_optimal notes the
+        # rank-deficient fallback, stoch_cg stops on a degenerate direction
+        sys_path = tmp_path / "zero.json"
+        save_system(sys_path, StateSpace(np.zeros((0, 0)), np.zeros((0, 2)),
+                                         np.zeros((2, 0)), np.zeros((2, 2))), N=4)
+        doc = tiny_spec_doc()
+        doc["system"] = {"load": str(sys_path)}
+        doc["solvers"] = [{"kind": "norm_optimal", "label": "nopt, zero plant"},
+                          {"kind": "stoch_cg", "max_iterations": 5}]
+        doc["seeds"] = [0]
+        result = run_benchmark(spec_from_json(doc), tmp_path / "out")
+        with open(result.summary_path, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header[-2:] == ["stop_reason", "notes"]
+        assert all(len(row) == len(header) for row in rows)
+        nopt, scg = (dict(zip(header, row)) for row in rows)
+        assert nopt["label"] == "nopt, zero plant"
+        assert nopt["kind"] == "norm_optimal"
+        assert nopt["stop_reason"] == "completed"
+        assert nopt["notes"] == "rank-deficient model (rank 0); pseudo-inverse update"
+        assert scg["stop_reason"] == "degenerate_direction"
+        assert scg["notes"] == ""
 
     def test_byte_identical_across_invocations(self, tmp_path):
         spec = spec_from_json(tiny_spec_doc(noise_kind="gaussian", sigma=0.02))

@@ -5,7 +5,8 @@ text, the stop reason and the oracle's experiment count with the files in
 ``tests/golden/``.  The grid covers all five kinds, reset periods, estimator
 overrides, decaying steps with and without ``decay_a``, noise on and off, a
 budget-stopped run, a SISO plant without states, an N=1 plant and a zero
-plant (degenerate direction).
+plant (degenerate direction).  The same grid with every plant applied by
+FFT convolution must give the same runs up to rounding.
 
 Regenerate the files only when a change of behaviour is intended:
 
@@ -18,6 +19,7 @@ import os
 import numpy as np
 import pytest
 
+import cgilc.lifted
 from cgilc import (
     LiftedSystem,
     NoiseModel,
@@ -102,6 +104,27 @@ def test_trace_matches_golden(manifest, name, plant, config, noisy, budget):
     with open(_golden_path(name), newline="") as fh:
         assert csv == fh.read()
     assert {"stop_reason": stop_reason, "experiments": experiments} == manifest[name]
+
+
+@pytest.mark.parametrize("name,plant,config,noisy,budget", CASES, ids=[c[0] for c in CASES])
+def test_structured_apply_matches_golden(manifest, monkeypatch, name, plant, config, noisy,
+                                         budget):
+    """Every plant applied by FFT convolution: the same run up to rounding."""
+    monkeypatch.setattr(cgilc.lifted, "STRUCTURED_MIN_ENTRIES", 0)
+    csv, stop_reason, experiments = run_case(plant, config, noisy, budget)
+    assert {"stop_reason": stop_reason, "experiments": experiments} == manifest[name]
+    with open(_golden_path(name), newline="") as fh:
+        golden = [line.split(",") for line in fh.read().splitlines()]
+    got = [line.split(",") for line in csv.splitlines()]
+    assert len(got) == len(golden) and got[0] == golden[0]
+    # a cost that the dense product rounds to exactly 0 (an exact fit) keeps a
+    # residue of order (eps * ||r||)^2 on the FFT path
+    floor = 1e-24 * float(golden[1][3])
+    for row, ref in zip(got[1:], golden[1:]):
+        # j, experiments_cum and reset exactly; both costs to 1e-9 relative
+        assert (row[0], row[1], row[6]) == (ref[0], ref[1], ref[6])
+        for cost, ref_cost in zip(row[2:4], ref[2:4]):
+            assert float(cost) == pytest.approx(float(ref_cost), rel=1e-9, abs=floor)
 
 
 def test_manifest_lists_exactly_the_cases(manifest):
