@@ -16,6 +16,11 @@ import numpy as np
 from .lifted import LiftedSystem, Signal
 from .rng import NOISE_STREAM, stream
 
+# Rows of a batch's noise drawn at a time.  Successive draws continue one
+# stream, so the values equal a single (probes x samples) draw; small draws
+# keep the allocator from mapping and faulting in a fresh block per batch.
+NOISE_BATCH_ROWS = 64
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -102,18 +107,21 @@ class PlantOracle:
     def probe_many(self, inputs: list[Signal]) -> list[Signal]:
         """Run a batch of probes; counts one experiment per input.
 
-        The batch's noise is one (probes x samples) draw, which advances the
-        stream exactly as the equivalent loop of single probes would.
+        The batch's noise, drawn ``NOISE_BATCH_ROWS`` probes at a time, takes
+        the same values from the stream as the equivalent loop of single
+        probes would.
         """
         for u in inputs:
             self._check_input(u)
         self._count += len(inputs)
-        W = self._system.product(np.stack([u.data for u in inputs], axis=1))
+        W = self._system.product_rows([u.data for u in inputs])
         if self._noise.active:  # in place: W is this call's own array
-            noise = self._rng.standard_normal(W.shape[::-1])
-            noise *= self._noise.sigma
-            W += noise.T
-        return [Signal(w, "output", self.N, self.n_o) for w in W.T]
+            for start in range(0, len(W), NOISE_BATCH_ROWS):
+                block = W[start:start + NOISE_BATCH_ROWS]
+                noise = self._rng.standard_normal(block.shape)
+                noise *= self._noise.sigma
+                block += noise
+        return [Signal(w, "output", self.N, self.n_o) for w in W]
 
     def true_cost(self, f: Signal) -> float:
         """Noise-free cost ||r - J f||^2; analysis bookkeeping, not an experiment.

@@ -10,11 +10,13 @@ golden grid on this path is in ``test_golden_traces.py``.
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 import cgilc.lifted
+import cgilc.oracle
 from cgilc import (
     LiftedSystem,
     NoiseModel,
@@ -61,9 +63,12 @@ def check_products(system, rng):
     X = rng.standard_normal((n, cgilc.lifted.FFT_BATCH_COLUMNS + 6))
     Y = system.product(X)
     assert Y.shape == (system.N * system.n_o, X.shape[1])
+    R = system.product_rows(list(X.T))
+    assert R.shape == (X.shape[1], system.N * system.n_o)
     for k in range(X.shape[1]):
         ref = apply(system, Signal(X[:, k], "input", system.N, system.n_i)).data
         assert rel_err(Y[:, k], ref) <= TOL
+        assert rel_err(R[k], ref) <= TOL
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_PLANTS))
@@ -86,6 +91,42 @@ def test_small_plant_keeps_the_dense_product(rng):
     assert system._spectrum is None
     X = rng.standard_normal((system.N * system.n_i, 5))
     assert np.array_equal(system.product(X), system.matrix @ X)
+    assert np.array_equal(system.product_rows(list(X.T)), (system.matrix @ X).T)
+
+
+def test_products_do_not_depend_on_earlier_calls(figure_plant, rng):
+    """The reused work arrays give the same bits however wide an earlier batch made them."""
+    n = figure_plant.N * figure_plant.n_i
+    x = rng.standard_normal(n)
+    X = rng.standard_normal((n, 70))
+    cgilc.lifted._scratch.__dict__.clear()
+    first_single, first_batch = figure_plant.product(x), figure_plant.product(X)
+    arrays = cgilc.lifted._scratch.arrays
+    assert np.array_equal(figure_plant.product(x), first_single)
+    assert np.array_equal(figure_plant.product(X), first_batch)
+    assert cgilc.lifted._scratch.arrays is arrays, "a repeated batch allocated new work arrays"
+    cgilc.lifted._scratch.__dict__.clear()
+    assert np.array_equal(figure_plant.product(X), first_batch)
+
+
+def test_threads_keep_their_own_work_arrays(structured, rng):
+    system = SMALL_PLANTS["n_i3_n_o2"]()
+    inputs = [rng.standard_normal((system.N * system.n_i, k)) for k in (9, 5)]
+    expected = [system.product(X) for X in inputs]
+    errors = []
+
+    def work(X, ref):
+        for _ in range(300):
+            if not np.array_equal(system.product(X), ref):
+                errors.append(X.shape)
+                return
+
+    threads = [threading.Thread(target=work, args=args) for args in zip(inputs, expected)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert not errors
 
 
 @pytest.mark.parametrize("defect", ["dense", "upper_entry", "broken_diagonal"])
@@ -147,12 +188,14 @@ def test_noisy_probe_many_equals_sequential_probes(monkeypatch, rng, branch):
         assert (system._spectrum is not None) == (branch == "structured")
         return PlantOracle(system, make_step_disturbance(8, 2), noise)
 
-    batch = oracle().probe_many(inputs)
     single = oracle()
     sequential = [single.probe(u) for u in inputs]
-    for b, s in zip(batch, sequential):
-        assert np.array_equal(b.data, s.data)
-    assert any(b.data.any() for b in batch)
+    for noise_rows in (64, 2):  # 2: the 5 probes' noise comes in three draws
+        monkeypatch.setattr(cgilc.oracle, "NOISE_BATCH_ROWS", noise_rows)
+        batch = oracle().probe_many(inputs)
+        for b, s in zip(batch, sequential):
+            assert np.array_equal(b.data, s.data)
+        assert any(b.data.any() for b in batch)
 
 
 class TestFreeTrueCost:
