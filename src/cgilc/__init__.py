@@ -6,7 +6,6 @@ from .gradients import (
     GradientEstimate,
     deterministic_gradient,
     draw_mask,
-    expand_mask,
     stochastic_gradient,
 )
 from .lifted import (
@@ -60,7 +59,6 @@ __all__ = [
     "default_noise_sigma",
     "deterministic_gradient",
     "draw_mask",
-    "expand_mask",
     "fletcher_reeves_coefficient",
     "generate_system",
     "lift",

@@ -55,11 +55,6 @@ class ChannelMixer:
         return np.kron(self.a, np.eye(self.N))
 
 
-def expand_mask(mask: BernoulliMask, N: int) -> ChannelMixer:
-    """Expand a channel mask to the stacked signal space (output -> input)."""
-    return ChannelMixer(mask.a, N)
-
-
 @dataclass(frozen=True)
 class GradientEstimate:
     g_hat: Signal
@@ -83,7 +78,7 @@ def stochastic_gradient(oracle: PlantOracle, e: Signal,
     N = oracle.N
     rev_out = TimeReversal(N, oracle.n_o)
     rev_in = TimeReversal(N, oracle.n_i)
-    mix = expand_mask(mask, N)
+    mix = ChannelMixer(mask.a, N)
     u = Signal(mix(rev_out(e.data)), "input", N, oracle.n_i)
     w = oracle.probe(u)
     g = Signal(-2.0 * rev_in(mix(w.data)), "input", N, oracle.n_i)

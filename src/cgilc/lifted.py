@@ -1,13 +1,15 @@
 """Lifted (trial-domain) representations of discrete-time MIMO LTI systems.
 
 A system with ``n_i`` inputs and ``n_o`` outputs acting over a finite trial
-of ``N`` samples is represented by a dense matrix built from ``n_o x n_i``
-lower-triangular Toeplitz blocks, one per input/output channel pair.  Signals
-are stacked channel-major: channel ``l`` occupies the slice ``[l*N, (l+1)*N)``.
+of ``N`` samples is held as its first ``N`` Markov parameters.  As a matrix it
+is made of ``n_o x n_i`` lower-triangular Toeplitz blocks, one per
+input/output channel pair, acting on signals stacked channel-major: channel
+``l`` occupies the slice ``[l*N, (l+1)*N)``.
 
 Large operators are applied by FFT block convolution of their Markov
-parameters (Golub & Van Loan, *Matrix Computations*, section 4.7) instead of
-the dense product; see :meth:`LiftedSystem.product`.
+parameters (Golub & Van Loan, *Matrix Computations*, section 4.7), small ones
+by the dense product; see :meth:`LiftedSystem.product`.  The dense matrix is
+built only when something asks for it.
 """
 
 from __future__ import annotations
@@ -26,18 +28,18 @@ import numpy as np
 # dense at 36,864 entries, 26 us against 46 us at 262,144, and 0.07 ms against
 # 1.4 ms at 4.41M.
 STRUCTURED_MIN_ENTRIES = 2 ** 18
-FFT_BATCH_COLUMNS = 64  # columns per FFT chunk, which bounds transient memory
+FFT_BATCH_COLUMNS = 64  # inputs per FFT chunk, which bounds transient memory
 
 _scratch = threading.local()  # per-thread FFT work arrays, see _work_arrays
 
 
 def _work_arrays(N: int, n_i: int, n_o: int, width: int) -> tuple[np.ndarray, ...]:
-    """Work arrays of the FFT apply for chunks of up to ``width`` columns.
+    """Work arrays of the FFT apply for chunks of up to ``width`` inputs.
 
     Each thread keeps one set and reuses it while the plant shape repeats.
     Fresh multi-megabyte temporaries on every batch made the allocator map
     and fault in pages again on each call: about 4,000 page faults per
-    441-column batch on the 21x21, N=100 plant.  The chunk axis comes first,
+    441-input batch on the 21x21, N=100 plant.  The chunk axis comes first,
     so a chunk's views have the same strides whatever the arrays' width.
     """
     key = (N, n_i, n_o)
@@ -71,10 +73,11 @@ class StateSpace:
     D: np.ndarray
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        C = np.atleast_2d(np.asarray(self.C, dtype=float))
-        D = np.atleast_2d(np.asarray(self.D, dtype=float))
+        # copies, so that the caller's arrays stay writeable and the model fixed
+        A = np.atleast_2d(np.array(self.A, dtype=float))
+        B = np.atleast_2d(np.array(self.B, dtype=float))
+        C = np.atleast_2d(np.array(self.C, dtype=float))
+        D = np.atleast_2d(np.array(self.D, dtype=float))
         n_x = A.shape[0]
         if A.shape != (n_x, n_x):
             raise ValueError(f"A must be square, got {A.shape}")
@@ -190,22 +193,54 @@ class TimeReversal:
 
 @dataclass(frozen=True)
 class LiftedSystem:
-    """Lifted operator mapping stacked inputs to stacked outputs.
+    """Lifted operator of a causal LTI plant over a trial of N samples.
 
-    ``matrix`` holds the operator dense; :meth:`product` applies it.
+    The plant is held as its first N Markov parameters, ``markov[k]`` being
+    the ``n_o x n_i`` response at lag k.  :meth:`product` and
+    :meth:`product_rows` apply the operator; ``matrix`` is its dense form,
+    built on first use.
     """
 
-    matrix: np.ndarray
-    N: int
-    n_i: int
-    n_o: int
+    markov: np.ndarray
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
-        if matrix.shape != (self.N * self.n_o, self.N * self.n_i):
-            raise ValueError(
-                f"matrix shape {matrix.shape} != ({self.N * self.n_o}, {self.N * self.n_i})")
-        object.__setattr__(self, "matrix", _freeze(matrix))
+        markov = np.array(self.markov, dtype=float)  # a copy: the caller's array stays writeable
+        if markov.ndim != 3 or len(markov) == 0:
+            raise ValueError(f"Markov parameters must have shape (N >= 1, n_o, n_i), "
+                             f"got {markov.shape}")
+        if not np.isfinite(markov).all():
+            raise LiftingError("non-finite Markov parameters")
+        object.__setattr__(self, "markov", _freeze(markov))
+
+    @property
+    def N(self) -> int:
+        return self.markov.shape[0]
+
+    @property
+    def n_o(self) -> int:
+        return self.markov.shape[1]
+
+    @property
+    def n_i(self) -> int:
+        return self.markov.shape[2]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense (N*n_o, N*n_i) operator.
+
+        Block (l, m) is lower-triangular Toeplitz with the impulse response
+        from input m to output l down its first column.
+        """
+        N = self.N
+        idx = np.arange(N)
+        lag = idx[:, None] - idx[None, :]
+        causal = lag >= 0
+        lag = lag.clip(min=0)
+        J = np.zeros((N * self.n_o, N * self.n_i))
+        for l in range(self.n_o):
+            for m in range(self.n_i):
+                J[l * N:(l + 1) * N, m * N:(m + 1) * N] = np.where(causal, self.markov[lag, l, m], 0.0)
+        return _freeze(J)
 
     def block(self, l: int, m: int) -> np.ndarray:
         """The N x N Toeplitz block from input channel ``m`` to output ``l``."""
@@ -217,70 +252,49 @@ class LiftedSystem:
         """Markov parameters at 2N-point frequencies, shape (N+1, n_o, n_i).
 
         Zero padding to 2N makes the circular convolution equal the causal
-        one on the first N samples.  None selects the dense product: for
-        operators below ``STRUCTURED_MIN_ENTRIES``, and for a hand-built
-        matrix that is not exactly block lower-triangular Toeplitz, whose
-        products must stay exact.
+        one on the first N samples.  None selects the dense product, for
+        operators below ``STRUCTURED_MIN_ENTRIES`` entries.
         """
-        N, n_i, n_o = self.N, self.n_i, self.n_o
-        if self.matrix.size < STRUCTURED_MIN_ENTRIES:
+        if self.N ** 2 * self.n_o * self.n_i < STRUCTURED_MIN_ENTRIES:
             return None
-        markov = self.matrix[:, ::N].reshape(n_o, N, n_i)
-        blocks = self.matrix.reshape(n_o, N, n_i, N)
-        for l in range(n_o):  # one block row at a time keeps the temporaries small
-            if (blocks[l, 0, :, 1:].any()
-                    or not np.array_equal(blocks[l, 1:, :, 1:], blocks[l, :-1, :, :-1])):
-                return None
-        if not np.isfinite(markov).all():
-            return None
-        return np.ascontiguousarray(np.fft.rfft(markov, n=2 * N, axis=1).transpose(1, 0, 2))
+        return np.fft.rfft(self.markov, n=2 * self.N, axis=0)
 
     def product(self, x: np.ndarray) -> np.ndarray:
-        """J x for stacked input data: one vector (N*n_i,) or columns (N*n_i, k).
+        """J x for one stacked input vector of length N*n_i.
 
         Dense ``matrix @ x`` for small operators; for large ones the block
-        convolution by FFT, in chunks of ``FFT_BATCH_COLUMNS`` columns.
+        convolution by FFT, which reads ``x`` in place.
         """
         if self._spectrum is None:
             return self.matrix @ x
-        x = np.asarray(x, dtype=float)
-        rows = x.reshape(1, -1) if x.ndim == 1 else x.T
-        out = np.empty((len(rows), self.N * self.n_o))
-        self._convolve(rows, out)
-        return out[0] if x.ndim == 1 else out.T
+        return self.product_rows(np.asarray(x, dtype=float).reshape(1, -1))[0]
 
     def product_rows(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
         """J u for each stacked input vector u, as the rows of a (k, N*n_o) array.
 
-        The dense branch multiplies the inputs stacked as columns, so its
-        arithmetic equals ``product(np.stack(inputs, axis=1))``.
+        The dense branch multiplies the inputs stacked as columns.  The FFT
+        branch runs ``FFT_BATCH_COLUMNS`` inputs at a time; it reads the rows
+        of a 2-D array in place and stacks a sequence of vectors chunk by
+        chunk into a work array.
         """
         if self._spectrum is None:
             return (self.matrix @ np.stack(inputs, axis=1)).T
-        out = np.empty((len(inputs), self.N * self.n_o))
-        self._convolve(inputs, out)
-        return out
-
-    def _convolve(self, rows, out: np.ndarray) -> None:
-        """Write J rows[j] to out[j] by FFT, ``FFT_BATCH_COLUMNS`` rows at a time.
-
-        ``rows`` is a 2-D array, read in place, or a sequence of vectors,
-        stacked chunk by chunk into a work array.
-        """
         N, n_i, n_o, H = self.N, self.n_i, self.n_o, self._spectrum
-        width = min(len(rows), FFT_BATCH_COLUMNS)
+        out = np.empty((len(inputs), N * n_o))
+        width = min(len(inputs), FFT_BATCH_COLUMNS)
         x, xf, yf, y = _work_arrays(N, n_i, n_o, width)
-        for start in range(0, len(rows), width):
-            c = min(width, len(rows) - start)
-            if isinstance(rows, np.ndarray):
-                chunk = rows[start:start + c].reshape(c, n_i, N)
+        for start in range(0, len(inputs), width):
+            c = min(width, len(inputs) - start)
+            if isinstance(inputs, np.ndarray):
+                chunk = inputs[start:start + c].reshape(c, n_i, N)
             else:
                 chunk = x[:c]
-                np.stack(rows[start:start + c], out=chunk.reshape(c, n_i * N))
+                np.stack(inputs[start:start + c], out=chunk.reshape(c, n_i * N))
             np.fft.rfft(chunk, n=2 * N, axis=2, out=xf[:c])
             np.matmul(H, xf[:c].transpose(2, 1, 0), out=yf[:c].transpose(1, 2, 0))
             np.fft.irfft(yf[:c].transpose(0, 2, 1), n=2 * N, axis=2, out=y[:c])
             out[start:start + c].reshape(c, n_o, N)[...] = y[:c, :, :N]
+        return out
 
 
 def markov_parameters(ss: StateSpace, N: int) -> np.ndarray:
@@ -295,25 +309,10 @@ def markov_parameters(ss: StateSpace, N: int) -> np.ndarray:
 
 
 def lift(ss: StateSpace, N: int) -> LiftedSystem:
-    """Build the lifted operator of ``ss`` over a trial of ``N`` samples.
-
-    Block (l, m) is lower-triangular Toeplitz with the impulse response from
-    input m to output l down its first column.
-    """
+    """The lifted operator of ``ss`` over a trial of ``N`` samples."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    markov = markov_parameters(ss, N)
-    if not np.isfinite(markov).all():
-        raise LiftingError("non-finite Markov parameters")
-    idx = np.arange(N)
-    lag = idx[:, None] - idx[None, :]
-    causal = lag >= 0
-    lag = lag.clip(min=0)
-    J = np.zeros((N * ss.n_o, N * ss.n_i))
-    for l in range(ss.n_o):
-        for m in range(ss.n_i):
-            J[l * N:(l + 1) * N, m * N:(m + 1) * N] = np.where(causal, markov[lag, l, m], 0.0)
-    return LiftedSystem(J, N, ss.n_i, ss.n_o)
+    return LiftedSystem(markov_parameters(ss, N))
 
 
 def apply(system: LiftedSystem, f: Signal) -> Signal:

@@ -39,7 +39,7 @@ PLANTS = {
     "mimo": lambda: lift(generate_system(3, 2, 3, 1), 6),
     "siso0": lambda: lift(generate_system(0, 1, 1, 2), 8),
     "n1": lambda: lift(generate_system(2, 2, 2, 3), 1),
-    "zero": lambda: LiftedSystem(np.zeros((8, 8)), N=4, n_i=2, n_o=2),
+    "zero": lambda: LiftedSystem(np.zeros((4, 2, 2))),
 }
 
 NOISY = NoiseModel("gaussian", 0.05, seed=7)

@@ -5,13 +5,13 @@ import pytest
 
 from cgilc import (
     BernoulliMask,
+    ChannelMixer,
     NoiseModel,
     PlantOracle,
     Signal,
     adjoint_apply,
     deterministic_gradient,
     draw_mask,
-    expand_mask,
     generate_system,
     lift,
     make_step_disturbance,
@@ -58,18 +58,18 @@ class TestMask:
 
 class TestExpandMask:
     def test_siso_identity(self, rng):
-        mix = expand_mask(BernoulliMask(np.array([[1.0]])), N=5)
+        mix = ChannelMixer(np.array([[1.0]]), N=5)
         v = rng.standard_normal(5)
         assert np.array_equal(mix(v), v)
 
     def test_two_output_difference(self):
-        mix = expand_mask(BernoulliMask(np.array([[1.0, -1.0]])), N=3)
+        mix = ChannelMixer(np.array([[1.0, -1.0]]), N=3)
         v = np.array([1.0, 2.0, 3.0, 10.0, 20.0, 30.0])
         assert mix(v).tolist() == [-9.0, -18.0, -27.0]
 
     def test_matches_dense_kronecker(self, rng):
         mask = draw_mask(rng, 3, 2)
-        mix = expand_mask(mask, N=4)
+        mix = ChannelMixer(mask.a, N=4)
         v = rng.standard_normal(8)
         dense = mix.matrix() @ v
         assert np.max(np.abs(mix(v) - dense)) < 1e-15

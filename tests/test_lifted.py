@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cgilc import (
+    LiftedSystem,
     LiftingError,
     Signal,
     StateSpace,
@@ -44,6 +45,18 @@ class TestStateSpace:
     def test_dimension_metadata(self):
         ss = generate_system(5, 2, 3, seed=0)
         assert (ss.n_x, ss.n_i, ss.n_o) == (5, 2, 3)
+
+    def test_caller_arrays_stay_writeable(self, rng):
+        arrays = [np.array([[0.5]]), np.array([[1.0, -1.0]]), np.array([[1.0], [2.0]]),
+                  np.array([[0.0, 1.0], [1.0, 0.0]])]
+        ss = StateSpace(*arrays)
+        assert all(a.flags.writeable for a in arrays)
+        u = rng.standard_normal(8)
+        before = lift(ss, 4).product(u)
+        for a in arrays:
+            a[...] = 0.25
+        assert ss.A.tolist() == [[0.5]] and ss.D.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert np.array_equal(lift(ss, 4).product(u), before)
 
 
 class TestSignal:
@@ -110,6 +123,41 @@ class TestLift:
     def test_requires_positive_length(self):
         with pytest.raises(ValueError):
             lift(static_gain_ss(), N=0)
+
+
+class TestLiftedSystem:
+    def test_shape_comes_from_the_markov_parameters(self):
+        J = LiftedSystem(np.zeros((5, 3, 2)))
+        assert (J.N, J.n_o, J.n_i) == (5, 3, 2)
+        assert J.matrix.shape == (15, 10)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (0, 2, 2)])
+    def test_rejects_malformed_arrays(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            LiftedSystem(np.zeros(shape))
+
+    def test_rejects_nonfinite_entries(self):
+        markov = np.zeros((4, 2, 2))
+        markov[2, 1, 0] = np.nan
+        with pytest.raises(LiftingError):
+            LiftedSystem(markov)
+
+    def test_dense_matrix_is_built_on_first_use(self):
+        J = lift(generate_system(3, 2, 2, seed=1), 6)
+        assert "matrix" not in vars(J)
+        assert J.matrix is J.matrix
+        assert not J.matrix.flags.writeable
+
+    def test_caller_array_stays_writeable(self, rng):
+        markov = rng.standard_normal((4, 2, 3))
+        reference = LiftedSystem(markov.copy())
+        J = LiftedSystem(markov)
+        assert markov.flags.writeable
+        assert not J.markov.flags.writeable
+        markov[...] = 0.0  # before the dense matrix exists
+        u = rng.standard_normal(12)
+        assert np.array_equal(J.product(u), reference.product(u))
+        assert np.array_equal(J.matrix, reference.matrix)
 
 
 class TestApply:

@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from cgilc import (
     BernoulliMask,
+    ChannelMixer,
     PlantOracle,
     Signal,
     apply,
-    expand_mask,
     make_step_disturbance,
     optimal_step,
     stochastic_gradient,
@@ -92,6 +92,6 @@ def test_masked_gradient_scales_with_error(seed, alpha):
 def test_mask_expansion_matches_dense_kronecker(n_i, n_o, N, seed):
     rng = np.random.default_rng(seed)
     mask = BernoulliMask(rng.integers(0, 2, (n_i, n_o)) * 2.0 - 1.0)
-    mix = expand_mask(mask, N)
+    mix = ChannelMixer(mask.a, N)
     v = rng.standard_normal(N * n_o)
     assert np.allclose(mix(v), mix.matrix() @ v, atol=1e-12)

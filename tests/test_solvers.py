@@ -418,7 +418,7 @@ class TestConfigValidation:
 class TestDegenerateCases:
     def test_zero_plant_terminates_cleanly(self):
         from cgilc import LiftedSystem
-        J = LiftedSystem(np.zeros((8, 8)), N=4, n_i=2, n_o=2)
+        J = LiftedSystem(np.zeros((4, 2, 2)))
         trace = run_solver(fresh_oracle(J),
                            SolverConfig("stoch_cg", max_iterations=5, seed=0))
         assert trace.stop_reason == "degenerate_direction"

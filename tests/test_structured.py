@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,13 +23,16 @@ from cgilc import (
     NoiseModel,
     PlantOracle,
     Signal,
+    SolverConfig,
     StateSpace,
     apply,
+    deterministic_gradient,
     generate_system,
     lift,
     make_step_disturbance,
+    run_solver,
 )
-from conftest import rel_err
+from conftest import rel_err, simulate_response
 
 TOL = 1e-13
 
@@ -37,7 +41,7 @@ SMALL_PLANTS = {
     "n_x0": lambda: lift(generate_system(0, 2, 3, 2), 10),
     "N1": lambda: lift(generate_system(2, 2, 2, 3), 1),
     "n_i3_n_o2": lambda: lift(generate_system(4, 3, 2, 5), 12),
-    "zero": lambda: LiftedSystem(np.zeros((8, 8)), N=4, n_i=2, n_o=2),
+    "zero": lambda: LiftedSystem(np.zeros((4, 2, 2))),
 }
 
 
@@ -59,15 +63,12 @@ def check_products(system, rng):
     y = system.product(x)
     assert y.shape == ref.shape
     assert rel_err(y, ref) <= TOL
-    # more columns than one FFT chunk, so the chunk loop runs more than once
+    # more rows than one FFT chunk, so the chunk loop runs more than once
     X = rng.standard_normal((n, cgilc.lifted.FFT_BATCH_COLUMNS + 6))
-    Y = system.product(X)
-    assert Y.shape == (system.N * system.n_o, X.shape[1])
     R = system.product_rows(list(X.T))
     assert R.shape == (X.shape[1], system.N * system.n_o)
     for k in range(X.shape[1]):
         ref = apply(system, Signal(X[:, k], "input", system.N, system.n_i)).data
-        assert rel_err(Y[:, k], ref) <= TOL
         assert rel_err(R[k], ref) <= TOL
 
 
@@ -78,7 +79,7 @@ def test_structured_matches_dense(structured, rng, name):
 
 def test_zero_plant_gives_exact_zeros(structured, rng):
     system = SMALL_PLANTS["zero"]()
-    assert not system.product(rng.standard_normal((8, 3))).any()
+    assert not system.product_rows(list(rng.standard_normal((8, 3)).T)).any()
 
 
 def test_figure_plant_is_structured_by_default(figure_plant, rng):
@@ -90,7 +91,7 @@ def test_small_plant_keeps_the_dense_product(rng):
     system = SMALL_PLANTS["n_i3_n_o2"]()
     assert system._spectrum is None
     X = rng.standard_normal((system.N * system.n_i, 5))
-    assert np.array_equal(system.product(X), system.matrix @ X)
+    assert np.array_equal(system.product(X[:, 0]), system.matrix @ X[:, 0])
     assert np.array_equal(system.product_rows(list(X.T)), (system.matrix @ X).T)
 
 
@@ -98,27 +99,27 @@ def test_products_do_not_depend_on_earlier_calls(figure_plant, rng):
     """The reused work arrays give the same bits however wide an earlier batch made them."""
     n = figure_plant.N * figure_plant.n_i
     x = rng.standard_normal(n)
-    X = rng.standard_normal((n, 70))
+    X = list(rng.standard_normal((n, 70)).T)
     cgilc.lifted._scratch.__dict__.clear()
-    first_single, first_batch = figure_plant.product(x), figure_plant.product(X)
+    first_single, first_batch = figure_plant.product(x), figure_plant.product_rows(X)
     arrays = cgilc.lifted._scratch.arrays
     assert np.array_equal(figure_plant.product(x), first_single)
-    assert np.array_equal(figure_plant.product(X), first_batch)
+    assert np.array_equal(figure_plant.product_rows(X), first_batch)
     assert cgilc.lifted._scratch.arrays is arrays, "a repeated batch allocated new work arrays"
     cgilc.lifted._scratch.__dict__.clear()
-    assert np.array_equal(figure_plant.product(X), first_batch)
+    assert np.array_equal(figure_plant.product_rows(X), first_batch)
 
 
 def test_threads_keep_their_own_work_arrays(structured, rng):
     system = SMALL_PLANTS["n_i3_n_o2"]()
-    inputs = [rng.standard_normal((system.N * system.n_i, k)) for k in (9, 5)]
-    expected = [system.product(X) for X in inputs]
+    inputs = [list(rng.standard_normal((system.N * system.n_i, k)).T) for k in (9, 5)]
+    expected = [system.product_rows(X) for X in inputs]
     errors = []
 
     def work(X, ref):
         for _ in range(300):
-            if not np.array_equal(system.product(X), ref):
-                errors.append(X.shape)
+            if not np.array_equal(system.product_rows(X), ref):
+                errors.append(len(X))
                 return
 
     threads = [threading.Thread(target=work, args=args) for args in zip(inputs, expected)]
@@ -129,36 +130,37 @@ def test_threads_keep_their_own_work_arrays(structured, rng):
     assert not errors
 
 
-@pytest.mark.parametrize("defect", ["dense", "upper_entry", "broken_diagonal"])
-def test_non_toeplitz_matrix_keeps_exact_products(rng, defect):
-    if defect == "dense":
-        matrix = rng.standard_normal((512, 512))
-    else:
-        matrix = lift(generate_system(6, 8, 8, 1), 64).matrix.copy()
-        if defect == "upper_entry":
-            matrix[64 + 3, 128 + 40] = 1e-3  # above the diagonal of block (1, 2)
-        else:
-            matrix[64 + 40, 128 + 3] += 1e-3  # one entry off its diagonal's value
-    system = LiftedSystem(matrix, N=64, n_i=8, n_o=8)  # 2^18 entries
-    assert system.matrix.size >= cgilc.lifted.STRUCTURED_MIN_ENTRIES
-    assert system._spectrum is None
-    u = Signal(rng.standard_normal(512), "input", 64, 8)
-    oracle = PlantOracle(system, make_step_disturbance(64, 8))
-    assert np.array_equal(oracle.probe(u).data, system.matrix @ u.data)
-    U = rng.standard_normal((512, 3))
-    assert np.array_equal(system.product(U), system.matrix @ U)
+def test_figure_runs_never_build_the_dense_matrix():
+    system = lift(generate_system(84, 21, 21, 0, feedthrough_gain=185), 100)
+    r = make_step_disturbance(100, 21)
+    run_solver(PlantOracle(system, r), SolverConfig("stoch_cg", max_iterations=3, seed=0))
+    noisy = PlantOracle(system, r, NoiseModel("gaussian", 0.05, seed=1))
+    e, _ = noisy.run_trial(Signal.zeros("input", 100, 21))
+    deterministic_gradient(noisy, e)
+    assert "matrix" not in vars(system)
 
 
-def test_structure_is_decided_once_per_system(rng, monkeypatch):
-    system = lift(generate_system(6, 8, 8, 1), 64)
-    system.product(rng.standard_normal(512))
-    assert system.__dict__["_spectrum"] is not None
-
-    def fail(*args, **kwargs):
-        raise AssertionError("the structure check ran again")
-
-    monkeypatch.setattr(np, "array_equal", fail)
-    system.product(rng.standard_normal((512, 2)))
+def test_long_trial_runs_from_the_markov_parameters(rng):
+    """21x21 channels at N=1000: the dense operator would take 3.5 GB."""
+    ss = generate_system(84, 21, 21, 0, feedthrough_gain=185)
+    N = 1000
+    u = rng.standard_normal(N * 21)
+    tracemalloc.start()
+    try:
+        system = lift(ss, N)
+        y = system.product(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert rel_err(y, simulate_response(ss, u.reshape(21, N)).reshape(-1)) <= 1e-12
+    oracle = PlantOracle(system, make_step_disturbance(N, 21))
+    trace = run_solver(oracle, SolverConfig("stoch_cg", max_iterations=5, seed=0))
+    assert len(trace.records) == 5
+    assert trace.records[-1].cost_true < trace.records[0].cost_true
+    probes = [Signal(rng.standard_normal(N * 21), "input", N, 21) for _ in range(3)]
+    assert len(oracle.probe_many(probes)) == 3
+    assert "matrix" not in vars(system)
 
 
 def _dyadic_plant():
@@ -231,7 +233,7 @@ def test_structured_apply_imports_no_scipy():
         "system = lift(generate_system(6, 8, 8, 1), 64)\n"
         "assert system._spectrum is not None\n"
         "system.product(np.ones(512))\n"
-        "system.product(np.ones((512, 3)))\n"
+        "system.product_rows([np.ones(512)] * 3)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(cgilc.lifted.__file__)))
