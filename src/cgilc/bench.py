@@ -14,7 +14,7 @@ import io
 import json
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -78,9 +78,7 @@ class BenchmarkSpec:
 
 
 def _solver_from_json(doc: dict) -> SolverConfig:
-    known = {"kind", "max_iterations", "reset_period", "step_mode", "decay_a",
-             "decay_gamma", "seed", "estimator", "label"}
-    unknown = set(doc) - known
+    unknown = set(doc) - {f.name for f in fields(SolverConfig)}
     if unknown:
         raise UsageError(f"unknown solver fields: {sorted(unknown)}")
     try:

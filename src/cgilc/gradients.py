@@ -24,12 +24,11 @@ class BernoulliMask:
     a: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
+        a = np.array(self.a, dtype=float, order="C")  # a copy: the caller's array stays writeable
         if a.ndim != 2:
             raise ValueError("mask must be a 2-D matrix")
         if not np.isin(a, (-1.0, 1.0)).all():
             raise ValueError("mask entries must be +-1")
-        a = np.ascontiguousarray(a)
         a.flags.writeable = False
         object.__setattr__(self, "a", a)
 
@@ -89,25 +88,12 @@ def deterministic_gradient(oracle: PlantOracle, e: Signal) -> GradientEstimate:
     """Full gradient from n_i*n_o selector experiments, exact when noise-free.
 
     Channel pair (l, m) is isolated by a selector that routes time-reversed
-    error channel m into input channel l; summing the probed responses
-    reconstructs -2 J^T e exactly when measurements are noise-free.
+    error channel m into input channel l and reads output channel m; summing
+    those readings over m (:meth:`PlantOracle.probe_selectors`) reconstructs
+    -2 J^T e exactly when measurements are noise-free.
     """
     N, n_i, n_o = oracle.N, oracle.n_i, oracle.n_o
-    rev_out = TimeReversal(N, n_o)
-    rev_in = TimeReversal(N, n_i)
-    te = rev_out(e.data).reshape(n_o, N)
-    probes = []
-    for l in range(n_i):
-        for m in range(n_o):
-            u = np.zeros((n_i, N))
-            u[l] = te[m]
-            probes.append(Signal(u.reshape(-1), "input", N, n_i))
-    responses = oracle.probe_many(probes)
-    acc = np.zeros((n_i, N))
-    k = 0
-    for l in range(n_i):
-        for m in range(n_o):
-            acc[l] += responses[k].data[m * N:(m + 1) * N]
-            k += 1
-    g = Signal(-2.0 * rev_in(acc.reshape(-1)), "input", N, n_i)
+    te = TimeReversal(N, n_o)(e.data).reshape(n_o, N)
+    acc = oracle.probe_selectors(te).sum(axis=1)
+    g = Signal(-2.0 * TimeReversal(N, n_i)(acc.reshape(-1)), "input", N, n_i)
     return GradientEstimate(g, n_i * n_o)

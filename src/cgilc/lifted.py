@@ -8,15 +8,14 @@ input/output channel pair, acting on signals stacked channel-major: channel
 
 Large operators are applied by FFT block convolution of their Markov
 parameters (Golub & Van Loan, *Matrix Computations*, section 4.7), small ones
-by the dense product; see :meth:`LiftedSystem.product`.  The dense matrix is
-built only when something asks for it.
+by the dense product; see :meth:`LiftedSystem.product` and, for the
+deterministic gradient's experiments, :meth:`LiftedSystem.selector_responses`.
+The dense matrix is built only when something asks for it.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,29 +27,6 @@ import numpy as np
 # dense at 36,864 entries, 26 us against 46 us at 262,144, and 0.07 ms against
 # 1.4 ms at 4.41M.
 STRUCTURED_MIN_ENTRIES = 2 ** 18
-FFT_BATCH_COLUMNS = 64  # inputs per FFT chunk, which bounds transient memory
-
-_scratch = threading.local()  # per-thread FFT work arrays, see _work_arrays
-
-
-def _work_arrays(N: int, n_i: int, n_o: int, width: int) -> tuple[np.ndarray, ...]:
-    """Work arrays of the FFT apply for chunks of up to ``width`` inputs.
-
-    Each thread keeps one set and reuses it while the plant shape repeats.
-    Fresh multi-megabyte temporaries on every batch made the allocator map
-    and fault in pages again on each call: about 4,000 page faults per
-    441-input batch on the 21x21, N=100 plant.  The chunk axis comes first,
-    so a chunk's views have the same strides whatever the arrays' width.
-    """
-    key = (N, n_i, n_o)
-    arrays = getattr(_scratch, "arrays", None)
-    if arrays is None or _scratch.key != key or len(arrays[0]) < width:
-        arrays = (np.empty((width, n_i, N)),                  # input chunk
-                  np.empty((width, n_i, N + 1), complex),     # its spectrum
-                  np.empty((width, N + 1, n_o), complex),     # output spectrum
-                  np.empty((width, n_o, 2 * N)))              # circular output
-        _scratch.key, _scratch.arrays = key, arrays
-    return arrays
 
 
 class LiftingError(ValueError):
@@ -197,8 +173,8 @@ class LiftedSystem:
 
     The plant is held as its first N Markov parameters, ``markov[k]`` being
     the ``n_o x n_i`` response at lag k.  :meth:`product` and
-    :meth:`product_rows` apply the operator; ``matrix`` is its dense form,
-    built on first use.
+    :meth:`selector_responses` apply the operator; ``matrix`` is its dense
+    form, built on first use.
     """
 
     markov: np.ndarray
@@ -263,38 +239,34 @@ class LiftedSystem:
         """J x for one stacked input vector of length N*n_i.
 
         Dense ``matrix @ x`` for small operators; for large ones the block
-        convolution by FFT, which reads ``x`` in place.
+        convolution by FFT, one ``n_o x n_i`` product per frequency.
         """
         if self._spectrum is None:
             return self.matrix @ x
-        return self.product_rows(np.asarray(x, dtype=float).reshape(1, -1))[0]
+        N = self.N
+        xf = np.fft.rfft(np.asarray(x, dtype=float).reshape(1, self.n_i, N), n=2 * N, axis=2)
+        yf = np.matmul(self._spectrum, xf.transpose(2, 1, 0))
+        return np.fft.irfft(yf.transpose(2, 1, 0), n=2 * N, axis=2)[0, :, :N].reshape(-1)
 
-    def product_rows(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
-        """J u for each stacked input vector u, as the rows of a (k, N*n_o) array.
+    def selector_responses(self, te: np.ndarray) -> np.ndarray:
+        """Responses to the selector inputs, shape (n_i, n_o, N).
 
-        The dense branch multiplies the inputs stacked as columns.  The FFT
-        branch runs ``FFT_BATCH_COLUMNS`` inputs at a time; it reads the rows
-        of a 2-D array in place and stacks a sequence of vectors chunk by
-        chunk into a work array.
+        ``R[l, m]`` is output channel m of J when ``te[m]`` (``te`` has shape
+        (n_o, N)) is applied on input channel l alone, the other inputs zero.
+        The dense branch multiplies all n_i*n_o selector inputs as the
+        columns of one matrix; the FFT branch convolves each ``te[m]`` with
+        the Markov parameters from every input to output m.
         """
+        N, n_i, n_o = self.N, self.n_i, self.n_o
         if self._spectrum is None:
-            return (self.matrix @ np.stack(inputs, axis=1)).T
-        N, n_i, n_o, H = self.N, self.n_i, self.n_o, self._spectrum
-        out = np.empty((len(inputs), N * n_o))
-        width = min(len(inputs), FFT_BATCH_COLUMNS)
-        x, xf, yf, y = _work_arrays(N, n_i, n_o, width)
-        for start in range(0, len(inputs), width):
-            c = min(width, len(inputs) - start)
-            if isinstance(inputs, np.ndarray):
-                chunk = inputs[start:start + c].reshape(c, n_i, N)
-            else:
-                chunk = x[:c]
-                np.stack(inputs[start:start + c], out=chunk.reshape(c, n_i * N))
-            np.fft.rfft(chunk, n=2 * N, axis=2, out=xf[:c])
-            np.matmul(H, xf[:c].transpose(2, 1, 0), out=yf[:c].transpose(1, 2, 0))
-            np.fft.irfft(yf[:c].transpose(0, 2, 1), n=2 * N, axis=2, out=y[:c])
-            out[start:start + c].reshape(c, n_o, N)[...] = y[:c, :, :N]
-        return out
+            U = np.zeros((n_i, N, n_i, n_o))
+            for l in range(n_i):
+                U[l, :, l, :] = te.T
+            Y = (self.matrix @ U.reshape(N * n_i, n_i * n_o)).reshape(n_o, N, n_i, n_o)
+            # a copy: the diagonal is a read-only view, and the oracle adds noise in place
+            return Y.diagonal(axis1=0, axis2=3).transpose(1, 2, 0).copy()
+        tf = np.fft.rfft(te, n=2 * N, axis=1)
+        return np.fft.irfft(self._spectrum.transpose(2, 1, 0) * tf, n=2 * N, axis=2)[..., :N]
 
 
 def markov_parameters(ss: StateSpace, N: int) -> np.ndarray:

@@ -4,7 +4,8 @@ Solvers never touch the lifted matrix directly: every evaluation of the
 plant goes through :class:`PlantOracle`, which counts it as one experiment
 and optionally corrupts the measured output with Gaussian noise.  This is
 the simulation stand-in for running a physical trial; the plant is applied
-through :meth:`LiftedSystem.product`.
+through :meth:`LiftedSystem.product`, and the deterministic gradient's
+selector experiments through :meth:`LiftedSystem.selector_responses`.
 """
 
 from __future__ import annotations
@@ -15,11 +16,6 @@ import numpy as np
 
 from .lifted import LiftedSystem, Signal
 from .rng import NOISE_STREAM, stream
-
-# Rows of a batch's noise drawn at a time.  Successive draws continue one
-# stream, so the values equal a single (probes x samples) draw; small draws
-# keep the allocator from mapping and faulting in a fresh block per batch.
-NOISE_BATCH_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -104,24 +100,28 @@ class PlantOracle:
         self._count += 1
         return Signal(self._measure(self._system.product(u.data)), "output", self.N, self.n_o)
 
-    def probe_many(self, inputs: list[Signal]) -> list[Signal]:
-        """Run a batch of probes; counts one experiment per input.
+    def probe_selectors(self, te: np.ndarray) -> np.ndarray:
+        """The n_i*n_o selector experiments of the deterministic gradient.
 
-        The batch's noise, drawn ``NOISE_BATCH_ROWS`` probes at a time, takes
-        the same values from the stream as the equivalent loop of single
-        probes would.
+        Experiment (l, m) applies ``te[m]`` (``te`` has shape (n_o, N)) on
+        input channel l alone, and only its output channel m is read;
+        ``R[l, m]`` is that reading, shape (n_i, n_o, N).  Counts n_i*n_o
+        experiments.  Each experiment draws the noise of a whole output, so
+        the stream advances as it would over n_i*n_o single probes, and the
+        readings carry the same noise values as those probes' channel m.
         """
-        for u in inputs:
-            self._check_input(u)
-        self._count += len(inputs)
-        W = self._system.product_rows([u.data for u in inputs])
-        if self._noise.active:  # in place: W is this call's own array
-            for start in range(0, len(W), NOISE_BATCH_ROWS):
-                block = W[start:start + NOISE_BATCH_ROWS]
-                noise = self._rng.standard_normal(block.shape)
-                noise *= self._noise.sigma
-                block += noise
-        return [Signal(w, "output", self.N, self.n_o) for w in W]
+        te = np.asarray(te, dtype=float)
+        if te.shape != (self.n_o, self.N):
+            raise ValueError(f"selector signals must have shape {(self.n_o, self.N)}, "
+                             f"got {te.shape}")
+        self._count += self.n_i * self.n_o
+        R = self._system.selector_responses(te)
+        if self._noise.active:
+            m = np.arange(self.n_o)
+            for R_l in R:  # the experiments of input channel l, in order of m
+                noise = self._rng.standard_normal((self.n_o, self.n_o, self.N))
+                R_l += self._noise.sigma * noise[m, m]
+        return R
 
     def true_cost(self, f: Signal) -> float:
         """Noise-free cost ||r - J f||^2; analysis bookkeeping, not an experiment.

@@ -303,9 +303,10 @@ def noisy_setup():
 class _LineSearchRecorder(PlantOracle):
     """Oracle that keeps the input of every single probe.
 
-    det_cg sends its gradient selectors through ``probe_many`` and only the
-    line-search ``J p`` experiment through ``probe``, so for det_cg the kept
-    inputs are its search directions p_1, p_2, ...
+    det_cg runs its gradient's selector experiments through
+    ``probe_selectors`` and only the line-search ``J p`` experiment through
+    ``probe``, so for det_cg the kept inputs are its search directions
+    p_1, p_2, ...
     """
 
     def __init__(self, *args, **kwargs):

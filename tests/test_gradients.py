@@ -55,6 +55,13 @@ class TestMask:
         with pytest.raises(ValueError):
             BernoulliMask(np.array([[0.5]]))
 
+    def test_caller_array_stays_writeable(self):
+        a = np.array([[1.0, -1.0]])
+        mask = BernoulliMask(a)
+        assert a.flags.writeable and not mask.a.flags.writeable
+        a[0, 0] = -1.0
+        assert mask.a[0, 0] == 1.0
+
 
 class TestExpandMask:
     def test_siso_identity(self, rng):

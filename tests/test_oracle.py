@@ -78,17 +78,27 @@ class TestProbe:
         mean = np.mean([oracle.probe(u).data - exact for _ in range(20_000)], axis=0)
         assert np.abs(mean).max() < 0.005
 
-    def test_probe_many_matches_sequential_probes(self, rng):
+    def test_probe_selectors_matches_sequential_probes(self, rng):
         noise = NoiseModel("gaussian", 0.3, seed=17)
-        J, oracle_a = make_oracle(seed=4, noise=noise)
-        _, oracle_b = make_oracle(seed=4, noise=noise)
-        inputs = [Signal(rng.standard_normal(J.N * J.n_i), "input", J.N, J.n_i)
-                  for _ in range(5)]
-        batch = oracle_a.probe_many(inputs)
-        singles = [oracle_b.probe(u) for u in inputs]
-        assert oracle_a.snapshot_count() == oracle_b.snapshot_count() == 5
-        for wb, ws in zip(batch, singles):
-            assert rel_err(wb.data, ws.data) < 1e-12
+        J, oracle_a = make_oracle(seed=4, noise=noise, n_i=3)
+        _, oracle_b = make_oracle(seed=4, noise=noise, n_i=3)
+        te = rng.standard_normal((J.n_o, J.N))
+        R = oracle_a.probe_selectors(te)
+        assert R.shape == (J.n_i, J.n_o, J.N)
+        for l in range(J.n_i):
+            for m in range(J.n_o):
+                u = np.zeros((J.n_i, J.N))
+                u[l] = te[m]
+                w = oracle_b.probe(Signal(u.reshape(-1), "input", J.N, J.n_i))
+                assert rel_err(R[l, m], w.channel(m)) < 1e-12
+        assert oracle_a.snapshot_count() == oracle_b.snapshot_count() == 6
+
+    def test_probe_selectors_rejects_a_wrong_shape(self):
+        J, oracle = make_oracle()
+        for shape in ((J.n_o, J.N + 1), (J.n_o + 1, J.N), (J.n_o * J.N,)):
+            with pytest.raises(ValueError):
+                oracle.probe_selectors(np.zeros(shape))
+        assert oracle.snapshot_count() == 0
 
 
 class TestCounting:

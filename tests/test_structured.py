@@ -1,23 +1,21 @@
 """The structured (FFT block-convolution) apply of large lifted operators.
 
-``LiftedSystem.product`` applies operators of at least
-``STRUCTURED_MIN_ENTRIES`` entries by FFT convolution of their Markov
-parameters.  Small plants take that path here with the constant patched to
-0; ``lifted.apply`` (the dense product) is the reference throughout.  The
-golden grid on this path is in ``test_golden_traces.py``.
+``LiftedSystem.product`` and ``LiftedSystem.selector_responses`` apply
+operators of at least ``STRUCTURED_MIN_ENTRIES`` entries by FFT convolution
+of their Markov parameters.  Small plants take that path here with the
+constant patched to 0; ``lifted.apply`` (the dense product) is the reference
+throughout.  The golden grid on this path is in ``test_golden_traces.py``.
 """
 
 import os
 import subprocess
 import sys
-import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import cgilc.lifted
-import cgilc.oracle
 from cgilc import (
     LiftedSystem,
     NoiseModel,
@@ -25,6 +23,7 @@ from cgilc import (
     Signal,
     SolverConfig,
     StateSpace,
+    adjoint_apply,
     apply,
     deterministic_gradient,
     generate_system,
@@ -57,19 +56,27 @@ def figure_plant():
 
 def check_products(system, rng):
     assert system._spectrum is not None, "the structured path was not taken"
-    n = system.N * system.n_i
-    x = rng.standard_normal(n)
-    ref = apply(system, Signal(x, "input", system.N, system.n_i)).data
-    y = system.product(x)
-    assert y.shape == ref.shape
-    assert rel_err(y, ref) <= TOL
-    # more rows than one FFT chunk, so the chunk loop runs more than once
-    X = rng.standard_normal((n, cgilc.lifted.FFT_BATCH_COLUMNS + 6))
-    R = system.product_rows(list(X.T))
-    assert R.shape == (X.shape[1], system.N * system.n_o)
-    for k in range(X.shape[1]):
-        ref = apply(system, Signal(X[:, k], "input", system.N, system.n_i)).data
-        assert rel_err(R[k], ref) <= TOL
+    N, n_i, n_o = system.N, system.n_i, system.n_o
+    X = rng.standard_normal((N * n_i, 8))
+    for x in X.T:
+        ref = apply(system, Signal(x, "input", N, n_i)).data
+        y = system.product(x)
+        assert y.shape == ref.shape
+        assert rel_err(y, ref) <= TOL
+    te = rng.standard_normal((n_o, N))
+    R = system.selector_responses(te)
+    assert R.shape == (n_i, n_o, N)
+    for l in range(n_i):
+        for m in range(n_o):
+            u = np.zeros((n_i, N))
+            u[l] = te[m]
+            ref = apply(system, Signal(u.reshape(-1), "input", N, n_i)).channel(m)
+            assert rel_err(R[l, m], ref) <= TOL
+    oracle = PlantOracle(system, make_step_disturbance(N, n_o))
+    e = Signal(rng.standard_normal(N * n_o), "output", N, n_o)
+    g = deterministic_gradient(oracle, e).g_hat.data
+    assert rel_err(g, -2.0 * adjoint_apply(system, e).data) <= TOL
+    assert oracle.snapshot_count() == n_i * n_o
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_PLANTS))
@@ -79,7 +86,9 @@ def test_structured_matches_dense(structured, rng, name):
 
 def test_zero_plant_gives_exact_zeros(structured, rng):
     system = SMALL_PLANTS["zero"]()
-    assert not system.product_rows(list(rng.standard_normal((8, 3)).T)).any()
+    for x in rng.standard_normal((3, 8)):
+        assert not system.product(x).any()
+    assert not system.selector_responses(rng.standard_normal((2, 4))).any()
 
 
 def test_figure_plant_is_structured_by_default(figure_plant, rng):
@@ -90,44 +99,8 @@ def test_figure_plant_is_structured_by_default(figure_plant, rng):
 def test_small_plant_keeps_the_dense_product(rng):
     system = SMALL_PLANTS["n_i3_n_o2"]()
     assert system._spectrum is None
-    X = rng.standard_normal((system.N * system.n_i, 5))
-    assert np.array_equal(system.product(X[:, 0]), system.matrix @ X[:, 0])
-    assert np.array_equal(system.product_rows(list(X.T)), (system.matrix @ X).T)
-
-
-def test_products_do_not_depend_on_earlier_calls(figure_plant, rng):
-    """The reused work arrays give the same bits however wide an earlier batch made them."""
-    n = figure_plant.N * figure_plant.n_i
-    x = rng.standard_normal(n)
-    X = list(rng.standard_normal((n, 70)).T)
-    cgilc.lifted._scratch.__dict__.clear()
-    first_single, first_batch = figure_plant.product(x), figure_plant.product_rows(X)
-    arrays = cgilc.lifted._scratch.arrays
-    assert np.array_equal(figure_plant.product(x), first_single)
-    assert np.array_equal(figure_plant.product_rows(X), first_batch)
-    assert cgilc.lifted._scratch.arrays is arrays, "a repeated batch allocated new work arrays"
-    cgilc.lifted._scratch.__dict__.clear()
-    assert np.array_equal(figure_plant.product_rows(X), first_batch)
-
-
-def test_threads_keep_their_own_work_arrays(structured, rng):
-    system = SMALL_PLANTS["n_i3_n_o2"]()
-    inputs = [list(rng.standard_normal((system.N * system.n_i, k)).T) for k in (9, 5)]
-    expected = [system.product_rows(X) for X in inputs]
-    errors = []
-
-    def work(X, ref):
-        for _ in range(300):
-            if not np.array_equal(system.product_rows(X), ref):
-                errors.append(len(X))
-                return
-
-    threads = [threading.Thread(target=work, args=args) for args in zip(inputs, expected)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
+    for x in rng.standard_normal((system.N * system.n_i, 5)).T:
+        assert np.array_equal(system.product(x), system.matrix @ x)
 
 
 def test_figure_runs_never_build_the_dense_matrix():
@@ -158,8 +131,17 @@ def test_long_trial_runs_from_the_markov_parameters(rng):
     trace = run_solver(oracle, SolverConfig("stoch_cg", max_iterations=5, seed=0))
     assert len(trace.records) == 5
     assert trace.records[-1].cost_true < trace.records[0].cost_true
-    probes = [Signal(rng.standard_normal(N * 21), "input", N, 21) for _ in range(3)]
-    assert len(oracle.probe_many(probes)) == 3
+    noisy = PlantOracle(system, make_step_disturbance(N, 21), NoiseModel("gaussian", 0.05, seed=1))
+    e, _ = noisy.run_trial(trace.final_input)
+    tracemalloc.start()
+    try:
+        g = deterministic_gradient(noisy, e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert g.experiments_used == 441 and noisy.snapshot_count() == 442
+    assert np.isfinite(g.g_hat.data).all()
     assert "matrix" not in vars(system)
 
 
@@ -174,30 +156,33 @@ def _dyadic_plant():
 
 
 @pytest.mark.parametrize("branch", ["dense", "structured"])
-def test_noisy_probe_many_equals_sequential_probes(monkeypatch, rng, branch):
+def test_noisy_probe_selectors_equals_sequential_probes(monkeypatch, rng, branch):
     if branch == "structured":
         monkeypatch.setattr(cgilc.lifted, "STRUCTURED_MIN_ENTRIES", 0)
         # FFT products are not exact, so only zero inputs compare bit for bit;
         # the outputs are then the noise alone
-        data = np.zeros((5, 16))
+        te = np.zeros((2, 8))
     else:
-        data = rng.integers(-3, 4, size=(5, 16)).astype(float)
+        te = rng.integers(-3, 4, size=(2, 8)).astype(float)
     noise = NoiseModel("gaussian", 0.3, seed=11)
-    inputs = [Signal(d, "input", 8, 2) for d in data]
 
     def oracle():
         system = _dyadic_plant()
         assert (system._spectrum is not None) == (branch == "structured")
         return PlantOracle(system, make_step_disturbance(8, 2), noise)
 
-    single = oracle()
-    sequential = [single.probe(u) for u in inputs]
-    for noise_rows in (64, 2):  # 2: the 5 probes' noise comes in three draws
-        monkeypatch.setattr(cgilc.oracle, "NOISE_BATCH_ROWS", noise_rows)
-        batch = oracle().probe_many(inputs)
-        for b, s in zip(batch, sequential):
-            assert np.array_equal(b.data, s.data)
-        assert any(b.data.any() for b in batch)
+    single, batch = oracle(), oracle()
+    R = batch.probe_selectors(te)
+    for l in range(2):
+        for m in range(2):
+            u = np.zeros((2, 8))
+            u[l] = te[m]
+            w = single.probe(Signal(u.reshape(-1), "input", 8, 2))
+            assert np.array_equal(R[l, m], w.channel(m))
+    assert R.any()
+    assert batch.snapshot_count() == single.snapshot_count() == 4
+    zero = Signal.zeros("input", 8, 2)  # its measurement is the next noise draw
+    assert np.array_equal(batch.probe(zero).data, single.probe(zero).data)
 
 
 class TestFreeTrueCost:
@@ -229,11 +214,11 @@ def test_structured_apply_imports_no_scipy():
     code = (
         "import sys\n"
         "import numpy as np\n"
-        "from cgilc import generate_system, lift\n"
+        "from cgilc import PlantOracle, generate_system, lift, make_step_disturbance\n"
         "system = lift(generate_system(6, 8, 8, 1), 64)\n"
         "assert system._spectrum is not None\n"
         "system.product(np.ones(512))\n"
-        "system.product_rows([np.ones(512)] * 3)\n"
+        "PlantOracle(system, make_step_disturbance(64, 8)).probe_selectors(np.ones((8, 64)))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(cgilc.lifted.__file__)))
