@@ -5,8 +5,10 @@ text, the stop reason and the oracle's experiment count with the files in
 ``tests/golden/``.  The grid covers all five kinds, reset periods, estimator
 overrides, decaying steps with and without ``decay_a``, noise on and off, a
 budget-stopped run, a SISO plant without states, an N=1 plant and a zero
-plant (degenerate direction).  The same grid with every plant applied by
-FFT convolution must give the same runs up to rounding.
+plant (degenerate direction).  These plants are small, so their operator is
+applied as a dense product; a plant of exactly ``STRUCTURED_MIN_ENTRIES``
+entries pins the FFT branch byte for byte as well.  The same grid with every
+plant applied by FFT convolution must give the same runs up to rounding.
 
 Regenerate the files only when a change of behaviour is intended:
 
@@ -40,6 +42,8 @@ PLANTS = {
     "siso0": lambda: lift(generate_system(0, 1, 1, 2), 8),
     "n1": lambda: lift(generate_system(2, 2, 2, 3), 1),
     "zero": lambda: LiftedSystem(np.zeros((4, 2, 2))),
+    # 64^2 * 8 * 8 = 2^18 entries: the smallest operator applied by FFT convolution
+    "fft": lambda: lift(generate_system(6, 8, 8, 4), 64),
 }
 
 NOISY = NoiseModel("gaussian", 0.05, seed=7)
@@ -77,6 +81,9 @@ CASES = [
       for name in ("stoch_cg", "det_cg_reset3", "det_gd", "norm_optimal")],
     ("n1_noisy_stoch_cg", "n1", "stoch_cg", True, None),
     ("zero_stoch_cg", "zero", "stoch_cg", False, None),
+    ("fft_stoch_cg", "fft", "stoch_cg", False, None),
+    ("fft_noisy_det_cg", "fft", "det_cg", True, None),
+    ("fft_stoch_gd", "fft", "stoch_gd", False, None),
 ]
 
 
@@ -125,6 +132,13 @@ def test_structured_apply_matches_golden(manifest, monkeypatch, name, plant, con
         assert (row[0], row[1], row[6]) == (ref[0], ref[1], ref[6])
         for cost, ref_cost in zip(row[2:4], ref[2:4]):
             assert float(cost) == pytest.approx(float(ref_cost), rel=1e-9, abs=floor)
+
+
+def test_fft_plant_is_applied_by_fft_and_the_others_densely():
+    assert PLANTS["fft"]()._spectrum is not None
+    for name, build in PLANTS.items():
+        if name != "fft":
+            assert build()._spectrum is None
 
 
 def test_manifest_lists_exactly_the_cases(manifest):
