@@ -2,8 +2,6 @@
 
 from .gradients import (
     BernoulliMask,
-    ChannelMixer,
-    GradientEstimate,
     deterministic_gradient,
     draw_mask,
     stochastic_gradient,
@@ -13,14 +11,10 @@ from .lifted import (
     LiftingError,
     Signal,
     StateSpace,
-    TimeReversal,
-    adjoint_apply,
-    apply,
     lift,
     load_system,
     markov_parameters,
     save_system,
-    time_reverse,
 )
 from .defaults import default_noise_sigma
 from .oracle import NoiseModel, PlantOracle
@@ -40,9 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BernoulliMask",
-    "ChannelMixer",
     "DegenerateDirectionError",
-    "GradientEstimate",
     "IterationRecord",
     "LiftedSystem",
     "LiftingError",
@@ -52,9 +44,6 @@ __all__ = [
     "Signal",
     "SolverConfig",
     "StateSpace",
-    "TimeReversal",
-    "adjoint_apply",
-    "apply",
     "conjugation_coefficient",
     "default_noise_sigma",
     "deterministic_gradient",
@@ -69,5 +58,4 @@ __all__ = [
     "run_solver",
     "save_system",
     "stochastic_gradient",
-    "time_reverse",
 ]

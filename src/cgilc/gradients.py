@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lifted import Signal, TimeReversal
+from .lifted import Signal
 from .oracle import PlantOracle
 
 
@@ -27,64 +27,47 @@ class BernoulliMask:
         a = np.array(self.a, dtype=float, order="C")  # a copy: the caller's array stays writeable
         if a.ndim != 2:
             raise ValueError("mask must be a 2-D matrix")
-        if not np.isin(a, (-1.0, 1.0)).all():
+        if not (np.abs(a) == 1.0).all():
             raise ValueError("mask entries must be +-1")
-        a.flags.writeable = False
+        a.setflags(write=False)
         object.__setattr__(self, "a", a)
+
+
+def _signs(rng: np.random.Generator, n_i: int, n_o: int) -> np.ndarray:
+    return rng.integers(0, 2, size=(n_i, n_o)) * 2.0 - 1.0
 
 
 def draw_mask(rng: np.random.Generator, n_i: int, n_o: int) -> BernoulliMask:
     """Fresh i.i.d. +-1 mask of shape (n_i, n_o)."""
-    return BernoulliMask(rng.integers(0, 2, size=(n_i, n_o)) * 2.0 - 1.0)
-
-
-@dataclass(frozen=True)
-class ChannelMixer:
-    """Linear map (a kron I_N): mixes channels sample-wise, no time mixing."""
-
-    a: np.ndarray
-    N: int
-
-    def __call__(self, data: np.ndarray) -> np.ndarray:
-        cols = self.a.shape[1]
-        return (self.a @ np.asarray(data, dtype=float).reshape(cols, self.N)).reshape(-1)
-
-    def matrix(self) -> np.ndarray:
-        """Dense Kronecker expansion, for tests."""
-        return np.kron(self.a, np.eye(self.N))
-
-
-@dataclass(frozen=True)
-class GradientEstimate:
-    g_hat: Signal
-    experiments_used: int
+    return BernoulliMask(_signs(rng, n_i, n_o))
 
 
 def stochastic_gradient(oracle: PlantOracle, e: Signal,
                         rng: np.random.Generator | None = None,
-                        mask: BernoulliMask | None = None) -> GradientEstimate:
+                        mask: BernoulliMask | None = None) -> Signal:
     """Unbiased single-experiment gradient estimate -2 T A (J A T e).
 
-    A fresh mask is drawn from ``rng`` unless one is supplied explicitly
-    (tests enumerate masks that way).  Uses exactly one probe experiment.
+    T reverses the samples of each channel and A mixes channels sample-wise
+    by the +-1 mask a (``a kron I_N``).  A fresh mask is drawn from ``rng``
+    unless one is supplied explicitly (tests enumerate masks that way).
+    Uses exactly one probe experiment.
     """
-    if mask is None:
-        if rng is None:
-            raise ValueError("either rng or mask is required")
-        mask = draw_mask(rng, oracle.n_i, oracle.n_o)
-    elif mask.a.shape != (oracle.n_i, oracle.n_o):
-        raise ValueError("mask shape does not match the plant")
-    N = oracle.N
-    rev_out = TimeReversal(N, oracle.n_o)
-    rev_in = TimeReversal(N, oracle.n_i)
-    mix = ChannelMixer(mask.a, N)
-    u = Signal(mix(rev_out(e.data)), "input", N, oracle.n_i)
-    w = oracle.probe(u)
-    g = Signal(-2.0 * rev_in(mix(w.data)), "input", N, oracle.n_i)
-    return GradientEstimate(g, 1)
+    N, n_i, n_o = oracle.N, oracle.n_i, oracle.n_o
+    if mask is not None:
+        a = mask.a
+        if a.shape != (n_i, n_o):
+            raise ValueError("mask shape does not match the plant")
+    elif rng is not None:
+        a = _signs(rng, n_i, n_o)
+    else:
+        raise ValueError("either rng or mask is required")
+    # ndarray.dot copies the reversed view to contiguous memory for BLAS
+    u = a.dot(e.data.reshape(n_o, N)[:, ::-1])
+    w = oracle.probe(Signal(u, "input", N, n_i)).data
+    return Signal(-2.0 * a.dot(w.reshape(n_o, N))[:, ::-1], "input", N, n_i)
 
 
-def deterministic_gradient(oracle: PlantOracle, e: Signal) -> GradientEstimate:
+def deterministic_gradient(oracle: PlantOracle, e: Signal) -> Signal:
     """Full gradient from n_i*n_o selector experiments, exact when noise-free.
 
     Channel pair (l, m) is isolated by a selector that routes time-reversed
@@ -93,7 +76,5 @@ def deterministic_gradient(oracle: PlantOracle, e: Signal) -> GradientEstimate:
     -2 J^T e exactly when measurements are noise-free.
     """
     N, n_i, n_o = oracle.N, oracle.n_i, oracle.n_o
-    te = TimeReversal(N, n_o)(e.data).reshape(n_o, N)
-    acc = oracle.probe_selectors(te).sum(axis=1)
-    g = Signal(-2.0 * TimeReversal(N, n_i)(acc.reshape(-1)), "input", N, n_i)
-    return GradientEstimate(g, n_i * n_o)
+    acc = oracle.probe_selectors(e.data.reshape(n_o, N)[:, ::-1]).sum(axis=1)
+    return Signal(-2.0 * acc[:, ::-1], "input", N, n_i)

@@ -88,13 +88,14 @@ class StateSpace:
         return self.C.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Signal:
     """Channel-major stacked signal over one trial.
 
     ``data`` has length ``N * channels``; ``space`` tags whether the signal
     lives on the input side ("input") or the output side ("output") of the
-    plant.  Signals are immutable; arithmetic returns new instances.
+    plant.  Signals are immutable: ``data`` is a read-only copy of what the
+    caller passed, and arithmetic returns new instances.
     """
 
     data: np.ndarray
@@ -102,14 +103,20 @@ class Signal:
     N: int
     channels: int
 
-    def __post_init__(self):
-        if self.space not in ("input", "output"):
-            raise ValueError(f"space must be 'input' or 'output', got {self.space!r}")
-        data = np.asarray(self.data, dtype=float).reshape(-1)
-        if data.size != self.N * self.channels:
-            raise ValueError(
-                f"data length {data.size} != N*channels = {self.N * self.channels}")
-        object.__setattr__(self, "data", _freeze(data))
+    def __init__(self, data, space: str, N: int, channels: int):
+        if space not in ("input", "output"):
+            raise ValueError(f"space must be 'input' or 'output', got {space!r}")
+        data = np.array(data, dtype=float)  # a copy: the caller's array stays its own
+        if data.ndim != 1:
+            data = data.reshape(-1)
+        if data.size != N * channels:
+            raise ValueError(f"data length {data.size} != N*channels = {N * channels}")
+        data.setflags(write=False)
+        setattr_ = object.__setattr__  # the dataclass is frozen
+        setattr_(self, "data", data)
+        setattr_(self, "space", space)
+        setattr_(self, "N", N)
+        setattr_(self, "channels", channels)
 
     @classmethod
     def zeros(cls, space: str, N: int, channels: int) -> "Signal":
@@ -139,32 +146,13 @@ class Signal:
 
     __rmul__ = __mul__
 
+    # ndarray.dot: the BLAS call of the @ operator, with less dispatch
     def dot(self, other: "Signal") -> float:
         self._check_compatible(other)
-        return float(self.data @ other.data)
+        return float(self.data.dot(other.data))
 
     def norm_sq(self) -> float:
-        return float(self.data @ self.data)
-
-
-@dataclass(frozen=True)
-class TimeReversal:
-    """Per-channel sample-order reversal (block-diagonal, involutory)."""
-
-    N: int
-    channels: int
-
-    def __call__(self, data: np.ndarray) -> np.ndarray:
-        data = np.asarray(data, dtype=float).reshape(self.channels, self.N)
-        return data[:, ::-1].reshape(-1)
-
-    def matrix(self) -> np.ndarray:
-        """Dense permutation matrix, mainly for tests."""
-        flip = np.eye(self.N)[::-1]
-        M = np.zeros((self.N * self.channels,) * 2)
-        for c in range(self.channels):
-            M[c * self.N:(c + 1) * self.N, c * self.N:(c + 1) * self.N] = flip
-        return M
+        return float(self.data.dot(self.data))
 
 
 @dataclass(frozen=True)
@@ -242,7 +230,7 @@ class LiftedSystem:
         convolution by FFT, one ``n_o x n_i`` product per frequency.
         """
         if self._spectrum is None:
-            return self.matrix @ x
+            return self.matrix.dot(x)  # the BLAS call of matrix @ x, with less dispatch
         N = self.N
         xf = np.fft.rfft(np.asarray(x, dtype=float).reshape(1, self.n_i, N), n=2 * N, axis=2)
         yf = np.matmul(self._spectrum, xf.transpose(2, 1, 0))
@@ -285,25 +273,6 @@ def lift(ss: StateSpace, N: int) -> LiftedSystem:
     if N < 1:
         raise ValueError("N must be >= 1")
     return LiftedSystem(markov_parameters(ss, N))
-
-
-def apply(system: LiftedSystem, f: Signal) -> Signal:
-    """Exact product y = J f for an input-space signal."""
-    if f.space != "input" or f.N != system.N or f.channels != system.n_i:
-        raise ValueError("signal is not an input of this system")
-    return Signal(system.matrix @ f.data, "output", system.N, system.n_o)
-
-
-def adjoint_apply(system: LiftedSystem, v: Signal) -> Signal:
-    """Exact product J^T v; ground-truth oracle, not an experiment."""
-    if v.space != "output" or v.N != system.N or v.channels != system.n_o:
-        raise ValueError("signal is not an output of this system")
-    return Signal(system.matrix.T @ v.data, "input", system.N, system.n_i)
-
-
-def time_reverse(x: Signal) -> Signal:
-    """Reverse sample order within each channel; channel order is kept."""
-    return x.with_data(TimeReversal(x.N, x.channels)(x.data))
 
 
 def system_to_json(ss: StateSpace, N: int) -> dict:

@@ -40,45 +40,36 @@ class NoiseModel:
 class PlantOracle:
     """Counted, optionally noisy access to y = J u and e = r - J f.
 
-    Single-owner mutable state (experiment counter plus noise stream); do
-    not share one oracle between concurrent solver runs.
+    ``N``, ``n_i`` and ``n_o`` are the plant's trial length and channel
+    counts.  Single-owner mutable state (experiment counter plus noise
+    stream); do not share one oracle between concurrent solver runs.
     """
 
     def __init__(self, system: LiftedSystem, disturbance: Signal,
                  noise: NoiseModel = NoiseModel()):
+        self.N, self.n_i, self.n_o = system.N, system.n_i, system.n_o
         if (disturbance.space, disturbance.N, disturbance.channels) != (
-                "output", system.N, system.n_o):
+                "output", self.N, self.n_o):
             raise ValueError("disturbance must be an output-space signal of the system")
+        self._input = ("input", self.N, self.n_i)
         self._system = system
-        self._r = disturbance
-        self._noise = noise
+        self._r = disturbance.data
+        self._sigma = noise.sigma if noise.active else 0.0
         self._rng = stream(noise.seed, NOISE_STREAM)
         self._count = 0
         self._last_trial: tuple[Signal | None, np.ndarray | None] = (None, None)
-
-    @property
-    def N(self) -> int:
-        return self._system.N
-
-    @property
-    def n_i(self) -> int:
-        return self._system.n_i
-
-    @property
-    def n_o(self) -> int:
-        return self._system.n_o
 
     def snapshot_count(self) -> int:
         """Current experiment count; no side effects."""
         return self._count
 
     def _measure(self, data: np.ndarray) -> np.ndarray:
-        if self._noise.active:
-            return data + self._noise.sigma * self._rng.standard_normal(data.size)
+        if self._sigma:
+            return data + self._sigma * self._rng.standard_normal(data.size)
         return data
 
     def _check_input(self, u: Signal):
-        if u.space != "input" or u.N != self.N or u.channels != self.n_i:
+        if (u.space, u.N, u.channels) != self._input:
             raise ValueError("signal is not an input of this plant")
 
     def run_trial(self, f: Signal) -> tuple[Signal, float]:
@@ -91,7 +82,7 @@ class PlantOracle:
         self._count += 1
         Jf = self._system.product(f.data)
         self._last_trial = (f, Jf)
-        e = Signal(self._r.data - self._measure(Jf), "output", self.N, self.n_o)
+        e = Signal(self._r - self._measure(Jf), "output", self.N, self.n_o)
         return e, e.norm_sq()
 
     def probe(self, u: Signal) -> Signal:
@@ -116,11 +107,11 @@ class PlantOracle:
                              f"got {te.shape}")
         self._count += self.n_i * self.n_o
         R = self._system.selector_responses(te)
-        if self._noise.active:
+        if self._sigma:
             m = np.arange(self.n_o)
             for R_l in R:  # the experiments of input channel l, in order of m
                 noise = self._rng.standard_normal((self.n_o, self.n_o, self.N))
-                R_l += self._noise.sigma * noise[m, m]
+                R_l += self._sigma * noise[m, m]
         return R
 
     def true_cost(self, f: Signal) -> float:
@@ -132,5 +123,5 @@ class PlantOracle:
         last_f, Jf = self._last_trial
         if f is not last_f:
             Jf = self._system.product(f.data)
-        e = self._r.data - Jf
-        return float(e @ e)
+        e = self._r - Jf
+        return float(e.dot(e))

@@ -150,28 +150,36 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
 
     Each iteration plans its experiments once (trial, gradient, ``probe_Jg``,
     ``line_search``); the budget check and the loop body read the same plan.
+    The body works on the measured arrays and wraps a value in a
+    :class:`Signal` only where it goes to the oracle.  It applies the rules of
+    :func:`conjugation_coefficient`, :func:`fletcher_reeves_coefficient` and
+    :func:`optimal_step`, computing each squared norm once.
     """
     is_cg = cfg.kind in ("stoch_cg", "det_cg")
+    fletcher_reeves = cfg.kind == "det_cg"
     single = cfg.effective_estimator == "single"
     optimal_mode = cfg.step_mode == "optimal_line_search"
     gradient_experiments = 1 if single else oracle.n_i * oracle.n_o
     mask_rng = stream(cfg.seed, MASK_STREAM)
+    N, n_i = oracle.N, oracle.n_i
 
     trace = RunTrace(config=cfg, stop_reason="max_iterations")
-    f = Signal.zeros("input", oracle.N, oracle.n_i)
+    records = trace.records
+    f = Signal.zeros("input", N, n_i)
     p: Signal | None = None
-    g_prev: Signal | None = None
-    Jp_prev: Signal | None = None
+    p_sq = 0.0  # ||p||^2 of the current direction
+    Jp_prev: np.ndarray | None = None  # measured J p of the last line search
+    Jp_prev_sq = 0.0
+    g_prev_sq = 0.0  # ||g||^2 of the last gradient, for Fletcher-Reeves
     gain_sq_est = 0.0  # running lower bound on ||J||^2 from probe responses
     cost0_true: float | None = None
     decay_a = cfg.decay_a
 
-    def observe(u: Signal, w: Signal) -> float:
+    def observe(u_sq: float, w_sq: float):
+        """Raise the gain estimate by a probe of ||u||^2 = u_sq and ||J u||^2 = w_sq."""
         nonlocal gain_sq_est
-        un = u.norm_sq()
-        if un > 0.0:
-            gain_sq_est = max(gain_sq_est, w.norm_sq() / un)
-        return un
+        if u_sq > 0.0:
+            gain_sq_est = max(gain_sq_est, w_sq / u_sq)
 
     for j in range(1, cfg.max_iterations + 1):
         reset_due = (is_cg and cfg.reset_period is not None and j > 1
@@ -190,58 +198,55 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
         if cost0_true is None:
             cost0_true = cost_true
         if cost_true <= COST_TOL * cost0_true:
-            trace.records.append(IterationRecord(
+            records.append(IterationRecord(
                 j, experiments_at_trial, cost_measured, cost_true, None, None, False))
             trace.stop_reason = "cost_tol"
             break
 
         if single:
-            g = stochastic_gradient(oracle, e, rng=mask_rng).g_hat
+            g = stochastic_gradient(oracle, e, rng=mask_rng)
         else:
-            g = deterministic_gradient(oracle, e).g_hat
+            g = deterministic_gradient(oracle, e)
+        g_sq = g.norm_sq() if probe_Jg or fletcher_reeves else None
 
         tau: float | None = None
         reset_flag = False
         if probe_Jg:
-            Jg = oracle.probe(g)
-            observe(g, Jg)
-            denom = Jp_prev.norm_sq()
-            if denom > EPS_DENOMINATOR_TOL * p.norm_sq() * gain_sq_est and denom > 0.0:
-                tau = conjugation_coefficient(Jp_prev, Jg)
-                p = g + tau * p
-            else:
-                p, reset_flag = g, True
+            Jg = oracle.probe(g).data
+            observe(g_sq, float(Jg.dot(Jg)))
+            if (Jp_prev_sq > EPS_DENOMINATOR_TOL * p_sq * gain_sq_est
+                    and Jp_prev_sq > 0.0):
+                tau = -float(Jp_prev.dot(Jg)) / Jp_prev_sq
         elif conjugate:  # Fletcher-Reeves
-            if g_prev.norm_sq() > 0.0:
-                tau = fletcher_reeves_coefficient(g, g_prev)
-                p = g + tau * p
-            else:
-                p, reset_flag = g, True
+            if g_prev_sq > 0.0:
+                tau = g_sq / g_prev_sq
+        if tau is not None:
+            p = Signal(g.data + p.data * tau, "input", N, n_i)
         else:
             p = g
-            reset_flag = is_cg and j > 1  # scheduled reset to the gradient
+            reset_flag = is_cg and j > 1  # a scheduled or a degenerate reset to the gradient
 
         eps: float | None
         if line_search:
-            Jp = oracle.probe(p)
-            pn = observe(p, Jp)
-            denom = Jp.norm_sq()
-            if denom <= EPS_DENOMINATOR_TOL * pn * gain_sq_est or denom <= 0.0:
-                trace.records.append(IterationRecord(
+            Jp = oracle.probe(p).data
+            p_sq, Jp_sq = p.norm_sq(), float(Jp.dot(Jp))
+            observe(p_sq, Jp_sq)
+            if Jp_sq <= EPS_DENOMINATOR_TOL * p_sq * gain_sq_est or Jp_sq <= 0.0:
+                records.append(IterationRecord(
                     j, experiments_at_trial, cost_measured, cost_true, None, tau, reset_flag))
                 trace.stop_reason = "degenerate_direction"
                 break
-            eps = optimal_step(e, Jp)
-            Jp_prev = Jp
+            eps = float(e.data.dot(Jp)) / Jp_sq
+            Jp_prev, Jp_prev_sq = Jp, Jp_sq
             if not optimal_mode:
                 decay_a = abs(eps)  # anchor the schedule to the first measured step
         else:
             # descend along the (uphill) gradient direction
             eps = -decay_a / float(j) ** cfg.decay_gamma
 
-        f = f + eps * p
-        g_prev = g
-        trace.records.append(IterationRecord(
+        f = Signal(f.data + p.data * eps, "input", N, n_i)
+        g_prev_sq = g_sq
+        records.append(IterationRecord(
             j, experiments_at_trial, cost_measured, cost_true, eps, tau, reset_flag))
 
     trace.final_input = f

@@ -21,15 +21,8 @@ def _fmt(x: float | None) -> str:
 def trace_to_csv(trace: RunTrace) -> str:
     lines = [CSV_HEADER]
     for r in trace.records:
-        lines.append(",".join([
-            str(r.j),
-            str(r.experiments_cum),
-            _fmt(r.cost_measured),
-            _fmt(r.cost_true),
-            _fmt(r.epsilon),
-            _fmt(r.tau),
-            "1" if r.reset else "0",
-        ]))
+        lines.append(f"{r.j},{r.experiments_cum},{r.cost_measured:.16e},{r.cost_true:.16e},"
+                     f"{_fmt(r.epsilon)},{_fmt(r.tau)},{1 if r.reset else 0}")
     return "\n".join(lines) + "\n"
 
 
@@ -50,14 +43,8 @@ def read_trace_csv(path) -> list[IterationRecord]:
                 continue
             j, exps, cm, ct, eps, tau, reset = line.split(",")
             records.append(IterationRecord(
-                j=int(j),
-                experiments_cum=int(exps),
-                cost_measured=float(cm),
-                cost_true=float(ct),
-                epsilon=float(eps) if eps else None,
-                tau=float(tau) if tau else None,
-                reset=reset == "1",
-            ))
+                int(j), int(exps), float(cm), float(ct),
+                float(eps) if eps else None, float(tau) if tau else None, reset == "1"))
     if not records:
         raise ValueError(f"{path}: no data rows")
     return records

@@ -8,16 +8,13 @@ from cgilc import (
     LiftingError,
     Signal,
     StateSpace,
-    TimeReversal,
-    adjoint_apply,
-    apply,
     generate_system,
     lift,
     load_system,
     save_system,
-    time_reverse,
 )
 from conftest import rel_err, simulate_response, small_system
+from reference import TimeReversal, adjoint_apply, apply, time_reverse
 
 
 def static_gain_ss(gain=2.0):
@@ -68,6 +65,15 @@ class TestSignal:
         s = Signal(np.arange(6.0), "output", N=3, channels=2)
         assert s.channel(0).tolist() == [0.0, 1.0, 2.0]
         assert s.channel(1).tolist() == [3.0, 4.0, 5.0]
+
+    def test_copies_the_callers_array(self):
+        a = np.zeros(4)
+        s = Signal(a, "input", 2, 2)
+        a[0] = 5.0
+        assert s.data.tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert a.flags.writeable
+        with pytest.raises(ValueError):
+            s.data[0] = 1.0
 
     def test_immutable(self):
         s = Signal(np.zeros(4), "input", N=4, channels=1)

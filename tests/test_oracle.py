@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from cgilc import NoiseModel, PlantOracle, Signal, apply, make_step_disturbance
+from cgilc import NoiseModel, PlantOracle, Signal, make_step_disturbance
 from conftest import rel_err, small_system
+from reference import apply
 
 
 def make_oracle(seed=0, noise=NoiseModel(), n_x=4, n_i=2, n_o=2, N=8, amplitude=1.0):
@@ -130,3 +131,16 @@ class TestCounting:
         c = oracle.true_cost(f0)
         assert oracle.snapshot_count() == 0
         assert c == pytest.approx(make_step_disturbance(J.N, J.n_o, 1.0).norm_sq())
+
+    def test_true_cost_after_the_caller_writes_the_input_array(self, rng):
+        # the trial's J f is reused for the same signal; the signal holds its own
+        # copy, so writing the caller's array cannot make that cost stale
+        J, oracle = make_oracle(seed=2)
+        a = rng.standard_normal(J.N * J.n_i)
+        f = Signal(a, "input", J.N, J.n_i)
+        _, cost = oracle.run_trial(f)
+        a[:] = 3.0 * rng.standard_normal(a.size)
+        _, fresh = make_oracle(seed=2)
+        recomputed = fresh.true_cost(Signal(f.data, "input", J.N, J.n_i))
+        assert oracle.true_cost(f) == cost == recomputed
+        assert fresh.true_cost(Signal(a, "input", J.N, J.n_i)) != cost

@@ -6,8 +6,6 @@ from cgilc import (
     PlantOracle,
     Signal,
     SolverConfig,
-    adjoint_apply,
-    apply,
     conjugation_coefficient,
     fletcher_reeves_coefficient,
     make_step_disturbance,
@@ -16,6 +14,7 @@ from cgilc import (
 )
 from cgilc.solvers import DegenerateDirectionError
 from conftest import rel_err, small_system
+from reference import adjoint_apply, apply
 
 
 def fresh_oracle(J, noise=NoiseModel(), amplitude=1.0):
@@ -207,7 +206,7 @@ class TestStochasticCg:
         # rebuild the whole run offline from the mask stream; successive
         # direction pairs must be J^T J-conjugate despite the random masks
         from cgilc.rng import MASK_STREAM, stream
-        from cgilc.lifted import TimeReversal
+        from reference import TimeReversal
 
         _, J = small_system(seed=4, n_i=2, n_o=3, N=6)
         cfg = SolverConfig("stoch_cg", max_iterations=12, seed=21)
@@ -488,3 +487,56 @@ class TestBudgetTooSmall:
         assert oracle.snapshot_count() == 0
         assert len(run_solver(fresh_oracle(J), SolverConfig("norm_optimal"), budget=2,
                               system=J).records) == 2
+
+
+class _CountingOracle(PlantOracle):
+    """Oracle that counts the experiments it sees through its public methods."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.seen = 0
+        self.calls = {"run_trial": 0, "probe": 0, "probe_selectors": 0, "true_cost": 0}
+
+    def run_trial(self, f):
+        self.seen += 1
+        self.calls["run_trial"] += 1
+        return super().run_trial(f)
+
+    def probe(self, u):
+        self.seen += 1
+        self.calls["probe"] += 1
+        return super().probe(u)
+
+    def probe_selectors(self, te):
+        self.seen += self.n_i * self.n_o
+        self.calls["probe_selectors"] += 1
+        return super().probe_selectors(te)
+
+    def true_cost(self, f):
+        self.calls["true_cost"] += 1
+        return super().true_cost(f)
+
+
+class TestOracleContract:
+    """Every experiment goes through the oracle's public methods, one trial per record."""
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("budget", [None, 23])
+    @pytest.mark.parametrize("kind,estimator", [
+        *[(kind, estimator) for kind in ("stoch_cg", "det_cg", "stoch_gd", "det_gd")
+          for estimator in ("single", "full")],
+        ("norm_optimal", None)])
+    def test_experiments_seen_equal_the_count(self, kind, estimator, budget, noisy):
+        _, J = small_system(seed=1, n_x=3, n_i=2, n_o=3, N=5)
+        noise = NoiseModel("gaussian", 0.05, seed=4) if noisy else NoiseModel()
+        oracle = _CountingOracle(J, make_step_disturbance(J.N, J.n_o, 1.0), noise)
+        trace = run_solver(oracle, SolverConfig(kind, max_iterations=8, reset_period=3,
+                                                estimator=estimator, seed=5),
+                           budget=budget, system=J)
+        assert oracle.seen == oracle.snapshot_count() > 0
+        assert oracle.calls["run_trial"] == oracle.calls["true_cost"] == len(trace.records)
+        if kind == "norm_optimal":
+            assert oracle.calls["run_trial"] == 2
+        single = (estimator or ("full" if kind.startswith("det") else "single")) == "single"
+        assert (oracle.calls["probe_selectors"] > 0) != single
+        assert isinstance(trace.final_input, Signal)
