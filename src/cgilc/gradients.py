@@ -34,6 +34,7 @@ class BernoulliMask:
 
 
 def _signs(rng: np.random.Generator, n_i: int, n_o: int) -> np.ndarray:
+    """I.i.d. +-1 entries of shape (n_i, n_o): the mask stream's draw."""
     return rng.integers(0, 2, size=(n_i, n_o)) * 2.0 - 1.0
 
 
@@ -61,8 +62,7 @@ def stochastic_gradient(oracle: PlantOracle, e: Signal,
         a = _signs(rng, n_i, n_o)
     else:
         raise ValueError("either rng or mask is required")
-    # ndarray.dot copies the reversed view to contiguous memory for BLAS
-    u = a.dot(e.data.reshape(n_o, N)[:, ::-1])
+    u = a.dot(e.data.reshape(n_o, N)[:, ::-1])  # A T e, the probe's input
     w = oracle.probe(Signal(u, "input", N, n_i)).data
     return Signal(-2.0 * a.dot(w.reshape(n_o, N))[:, ::-1], "input", N, n_i)
 

@@ -250,7 +250,7 @@ class LiftedSystem:
             U = np.zeros((n_i, N, n_i, n_o))
             for l in range(n_i):
                 U[l, :, l, :] = te.T
-            Y = (self.matrix @ U.reshape(N * n_i, n_i * n_o)).reshape(n_o, N, n_i, n_o)
+            Y = self.matrix.dot(U.reshape(N * n_i, n_i * n_o)).reshape(n_o, N, n_i, n_o)
             # a copy: the diagonal is a read-only view, and the oracle adds noise in place
             return Y.diagonal(axis1=0, axis2=3).transpose(1, 2, 0).copy()
         tf = np.fft.rfft(te, n=2 * N, axis=1)
