@@ -73,7 +73,7 @@ class SolverConfig:
         return "full" if self.kind.startswith("det") else "single"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: a run keeps one record per iteration
 class IterationRecord:
     j: int
     experiments_cum: int
