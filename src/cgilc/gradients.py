@@ -27,9 +27,9 @@ class BernoulliMask:
         a = np.array(self.a, dtype=float, order="C")  # a copy: the caller's array stays writeable
         if a.ndim != 2:
             raise ValueError("mask must be a 2-D matrix")
-        if not (np.abs(a) == 1.0).all():
+        if not np.isin(a, (-1.0, 1.0)).all():
             raise ValueError("mask entries must be +-1")
-        a.setflags(write=False)
+        a.flags.writeable = False
         object.__setattr__(self, "a", a)
 
 

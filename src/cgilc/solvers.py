@@ -105,31 +105,33 @@ class RunTrace:
         return None
 
 
-def conjugation_coefficient(Jp_prev: Signal, Jg_new: Signal) -> float:
+def conjugation_coefficient(Jp_prev: np.ndarray, Jg_new: np.ndarray,
+                            Jp_prev_sq: float) -> float:
     """Coefficient tau making g_new + tau p_prev conjugate to p_prev under J^T J.
 
-    Both arguments are measured plant responses; no model knowledge enters.
+    Both arrays are measured plant responses and ``Jp_prev_sq`` is
+    ||Jp_prev||^2; no model knowledge enters.
     """
-    denom = Jp_prev.norm_sq()
-    if denom <= 0.0:
+    if Jp_prev_sq <= 0.0:
         raise DegenerateDirectionError("||J p_prev||^2 vanishes")
-    return -Jp_prev.dot(Jg_new) / denom
+    return -float(Jp_prev.dot(Jg_new)) / Jp_prev_sq
 
 
-def fletcher_reeves_coefficient(g_new: Signal, g_old: Signal) -> float:
+def fletcher_reeves_coefficient(g_new_sq: float, g_old_sq: float) -> float:
     """Classical ratio ||g_new||^2 / ||g_old||^2; valid for exact gradients only."""
-    denom = g_old.norm_sq()
-    if denom <= 0.0:
+    if g_old_sq <= 0.0:
         raise DegenerateDirectionError("||g_old||^2 vanishes")
-    return g_new.norm_sq() / denom
+    return g_new_sq / g_old_sq
 
 
-def optimal_step(e: Signal, Jp: Signal) -> float:
-    """Exact minimizer of ||r - J(f + eps p)||^2 over eps, from measured e and Jp."""
-    denom = Jp.norm_sq()
-    if denom <= 0.0:
+def optimal_step(e: np.ndarray, Jp: np.ndarray, Jp_sq: float) -> float:
+    """Exact minimizer of ||r - J(f + eps p)||^2 over eps, from measured e and Jp.
+
+    ``Jp_sq`` is ||Jp||^2.
+    """
+    if Jp_sq <= 0.0:
         raise DegenerateDirectionError("||J p||^2 vanishes")
-    return e.dot(Jp) / denom
+    return float(e.dot(Jp)) / Jp_sq
 
 
 def _over_budget(oracle: PlantOracle, budget: int | None, planned: int, j: int) -> bool:
@@ -151,9 +153,9 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
     Each iteration plans its experiments once (trial, gradient, ``probe_Jg``,
     ``line_search``); the budget check and the loop body read the same plan.
     The body works on the measured arrays and wraps a value in a
-    :class:`Signal` only where it goes to the oracle.  It applies the rules of
-    :func:`conjugation_coefficient`, :func:`fletcher_reeves_coefficient` and
-    :func:`optimal_step`, computing each squared norm once.
+    :class:`Signal` only where it goes to the oracle.  Each squared norm is
+    computed once and handed to :func:`conjugation_coefficient`,
+    :func:`fletcher_reeves_coefficient` and :func:`optimal_step`.
     """
     is_cg = cfg.kind in ("stoch_cg", "det_cg")
     fletcher_reeves = cfg.kind == "det_cg"
@@ -216,10 +218,10 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
             observe(g_sq, float(Jg.dot(Jg)))
             if (Jp_prev_sq > EPS_DENOMINATOR_TOL * p_sq * gain_sq_est
                     and Jp_prev_sq > 0.0):
-                tau = -float(Jp_prev.dot(Jg)) / Jp_prev_sq
+                tau = conjugation_coefficient(Jp_prev, Jg, Jp_prev_sq)
         elif conjugate:  # Fletcher-Reeves
             if g_prev_sq > 0.0:
-                tau = g_sq / g_prev_sq
+                tau = fletcher_reeves_coefficient(g_sq, g_prev_sq)
         if tau is not None:
             p = Signal(g.data + p.data * tau, "input", N, n_i)
         else:
@@ -236,7 +238,7 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
                     j, experiments_at_trial, cost_measured, cost_true, None, tau, reset_flag))
                 trace.stop_reason = "degenerate_direction"
                 break
-            eps = float(e.data.dot(Jp)) / Jp_sq
+            eps = optimal_step(e.data, Jp, Jp_sq)
             Jp_prev, Jp_prev_sq = Jp, Jp_sq
             if not optimal_mode:
                 decay_a = abs(eps)  # anchor the schedule to the first measured step

@@ -43,8 +43,14 @@ def read_trace_csv(path) -> list[IterationRecord]:
                 continue
             j, exps, cm, ct, eps, tau, reset = line.split(",")
             records.append(IterationRecord(
-                int(j), int(exps), float(cm), float(ct),
-                float(eps) if eps else None, float(tau) if tau else None, reset == "1"))
+                j=int(j),
+                experiments_cum=int(exps),
+                cost_measured=float(cm),
+                cost_true=float(ct),
+                epsilon=float(eps) if eps else None,
+                tau=float(tau) if tau else None,
+                reset=reset == "1",
+            ))
     if not records:
         raise ValueError(f"{path}: no data rows")
     return records

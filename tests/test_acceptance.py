@@ -164,7 +164,7 @@ class TestCriterion3LineSearch:
             Jp = apply(J, Signal(p, "input", J.N, J.n_i))
             if Jp.norm_sq() == 0.0:
                 continue
-            eps = optimal_step(e, Jp)
+            eps = optimal_step(e.data, Jp.data, Jp.norm_sq())
 
             def cost(step):
                 res = r - J.matrix @ (f + step * p)

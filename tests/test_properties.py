@@ -64,7 +64,7 @@ def test_optimal_step_never_increases_cost(seed):
     Jp = apply(J, Signal(p, "input", 5, 2))
     if Jp.norm_sq() == 0.0:
         return
-    eps = optimal_step(e, Jp)
+    eps = optimal_step(e.data, Jp.data, Jp.norm_sq())
     before = float(e.data @ e.data)
     res = r - J.matrix @ (f + eps * p)
     assert float(res @ res) <= before * (1 + 1e-12) + 1e-12

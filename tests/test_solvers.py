@@ -30,11 +30,12 @@ class TestCoefficients:
     def test_conjugation_zero_when_orthogonal(self):
         a = Signal([1.0, 0.0], "output", 1, 2)
         b = Signal([0.0, 3.0], "output", 1, 2)
-        assert conjugation_coefficient(a, b) == 0.0
+        assert conjugation_coefficient(a.data, b.data, a.norm_sq()) == 0.0
 
     def test_conjugation_minus_one_when_equal(self, rng):
         v = Signal(rng.standard_normal(6), "output", 3, 2)
-        assert conjugation_coefficient(v, v) == pytest.approx(-1.0, rel=1e-15)
+        tau = conjugation_coefficient(v.data, v.data, v.norm_sq())
+        assert tau == pytest.approx(-1.0, rel=1e-15)
 
     def test_constructed_direction_is_conjugate(self, rng):
         _, J = small_system(seed=1, n_i=2, n_o=2, N=6)
@@ -43,7 +44,7 @@ class TestCoefficients:
             g_new = Signal(rng.standard_normal(J.N * J.n_i), "input", J.N, J.n_i)
             Jp = apply(J, p_prev)
             Jg = apply(J, g_new)
-            tau = conjugation_coefficient(Jp, Jg)
+            tau = conjugation_coefficient(Jp.data, Jg.data, Jp.norm_sq())
             p_new = g_new + tau * p_prev
             Jp_new = apply(J, p_new)
             bound = 1e-10 * np.sqrt(Jp.norm_sq() * Jp_new.norm_sq())
@@ -52,26 +53,28 @@ class TestCoefficients:
     def test_conjugation_degenerate_denominator(self):
         z = Signal.zeros("output", 2, 1)
         with pytest.raises(DegenerateDirectionError):
-            conjugation_coefficient(z, z)
+            conjugation_coefficient(z.data, z.data, z.norm_sq())
 
     def test_fletcher_reeves_identity_and_zero(self, rng):
         g = Signal(rng.standard_normal(8), "input", 4, 2)
-        assert fletcher_reeves_coefficient(g, g) == pytest.approx(1.0, rel=1e-15)
+        g_sq = g.norm_sq()
+        assert fletcher_reeves_coefficient(g_sq, g_sq) == pytest.approx(1.0, rel=1e-15)
         zero = Signal.zeros("input", 4, 2)
-        assert fletcher_reeves_coefficient(zero, g) == 0.0
+        assert fletcher_reeves_coefficient(zero.norm_sq(), g_sq) == 0.0
         with pytest.raises(DegenerateDirectionError):
-            fletcher_reeves_coefficient(g, zero)
+            fletcher_reeves_coefficient(g_sq, zero.norm_sq())
 
 
 class TestOptimalStep:
     def test_unit_step_when_direction_matches_error(self, rng):
         e = Signal(rng.standard_normal(6), "output", 3, 2)
-        assert optimal_step(e, e) == pytest.approx(1.0, rel=1e-15)
+        eps = optimal_step(e.data, e.data, e.norm_sq())
+        assert eps == pytest.approx(1.0, rel=1e-15)
 
     def test_zero_when_orthogonal(self):
         e = Signal([1.0, 0.0], "output", 1, 2)
         Jp = Signal([0.0, 2.0], "output", 1, 2)
-        assert optimal_step(e, Jp) == 0.0
+        assert optimal_step(e.data, Jp.data, Jp.norm_sq()) == 0.0
 
     def test_line_scan_minimality(self, rng):
         _, J = small_system(seed=2, n_i=2, n_o=2, N=6)
@@ -81,7 +84,7 @@ class TestOptimalStep:
             p = rng.standard_normal(J.N * J.n_i)
             e = Signal(r - J.matrix @ f, "output", J.N, J.n_o)
             Jp = apply(J, Signal(p, "input", J.N, J.n_i))
-            eps = optimal_step(e, Jp)
+            eps = optimal_step(e.data, Jp.data, Jp.norm_sq())
             best = cost_of(J, r, f + eps * p)
             delta = 1e-3 / np.linalg.norm(p)
             assert best <= cost_of(J, r, f + (eps + delta) * p) + 1e-12
