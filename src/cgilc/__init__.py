@@ -1,11 +1,6 @@
 """Experiment-efficient conjugate-gradient learning control for MIMO LTI plants."""
 
-from .gradients import (
-    BernoulliMask,
-    deterministic_gradient,
-    draw_mask,
-    stochastic_gradient,
-)
+from .gradients import deterministic_gradient, stochastic_gradient
 from .lifted import (
     LiftedSystem,
     LiftingError,
@@ -33,7 +28,6 @@ from .sysgen import generate_system, make_step_disturbance
 __version__ = "0.1.0"
 
 __all__ = [
-    "BernoulliMask",
     "DegenerateDirectionError",
     "IterationRecord",
     "LiftedSystem",
@@ -47,7 +41,6 @@ __all__ = [
     "conjugation_coefficient",
     "default_noise_sigma",
     "deterministic_gradient",
-    "draw_mask",
     "fletcher_reeves_coefficient",
     "generate_system",
     "lift",

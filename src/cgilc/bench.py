@@ -118,7 +118,10 @@ def spec_from_json(doc: dict) -> BenchmarkSpec:
         raise UsageError(f"malformed spec: {exc}") from exc
     env = os.environ.get(MASTER_SEED_ENV)
     if env is not None:
-        seeds = (int(env),)
+        try:
+            seeds = (int(env),)
+        except ValueError as exc:
+            raise UsageError(f"{MASTER_SEED_ENV} must be an integer, got {env!r}") from exc
     return BenchmarkSpec(system, disturbance, noise, solvers, budget, seeds)
 
 
@@ -184,7 +187,6 @@ class RunSummary:
 
 @dataclass
 class BenchmarkResult:
-    spec: BenchmarkSpec
     summaries: list[RunSummary]
     traces: list[RunTrace]
     summary_path: str | None = None
@@ -273,4 +275,4 @@ def run_benchmark(spec: BenchmarkSpec, out_dir) -> BenchmarkResult:
     summary_path = os.path.join(out_dir, "summary.csv")
     with open(summary_path, "w", newline="\n") as fh:
         fh.write(summary_to_csv(summaries))
-    return BenchmarkResult(spec, summaries, traces, summary_path)
+    return BenchmarkResult(summaries, traces, summary_path)

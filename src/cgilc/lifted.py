@@ -95,7 +95,7 @@ class Signal:
     ``data`` has length ``N * channels``; ``space`` tags whether the signal
     lives on the input side ("input") or the output side ("output") of the
     plant.  Signals are immutable: ``data`` is a read-only copy of what the
-    caller passed, and arithmetic returns new instances.
+    caller passed.
     """
 
     data: np.ndarray
@@ -121,35 +121,6 @@ class Signal:
     @classmethod
     def zeros(cls, space: str, N: int, channels: int) -> "Signal":
         return cls(np.zeros(N * channels), space, N, channels)
-
-    def channel(self, l: int) -> np.ndarray:
-        """Samples of channel ``l`` (0-based)."""
-        return self.data[l * self.N:(l + 1) * self.N]
-
-    def with_data(self, data: np.ndarray) -> "Signal":
-        return Signal(data, self.space, self.N, self.channels)
-
-    def _check_compatible(self, other: "Signal"):
-        if (self.space, self.N, self.channels) != (other.space, other.N, other.channels):
-            raise ValueError("signals live in different spaces")
-
-    def __add__(self, other: "Signal") -> "Signal":
-        self._check_compatible(other)
-        return self.with_data(self.data + other.data)
-
-    def __sub__(self, other: "Signal") -> "Signal":
-        self._check_compatible(other)
-        return self.with_data(self.data - other.data)
-
-    def __mul__(self, scalar: float) -> "Signal":
-        return self.with_data(self.data * float(scalar))
-
-    __rmul__ = __mul__
-
-    # ndarray.dot: the BLAS call of the @ operator, with less dispatch
-    def dot(self, other: "Signal") -> float:
-        self._check_compatible(other)
-        return float(self.data.dot(other.data))
 
     def norm_sq(self) -> float:
         return float(self.data.dot(self.data))
@@ -205,11 +176,6 @@ class LiftedSystem:
             for m in range(self.n_i):
                 J[l * N:(l + 1) * N, m * N:(m + 1) * N] = np.where(causal, self.markov[lag, l, m], 0.0)
         return _freeze(J)
-
-    def block(self, l: int, m: int) -> np.ndarray:
-        """The N x N Toeplitz block from input channel ``m`` to output ``l``."""
-        N = self.N
-        return self.matrix[l * N:(l + 1) * N, m * N:(m + 1) * N]
 
     @cached_property
     def _spectrum(self) -> np.ndarray | None:
@@ -275,9 +241,9 @@ def lift(ss: StateSpace, N: int) -> LiftedSystem:
     return LiftedSystem(markov_parameters(ss, N))
 
 
-def system_to_json(ss: StateSpace, N: int) -> dict:
-    """JSON document for a system; lifted blocks are re-derived on load."""
-    return {
+def save_system(path, ss: StateSpace, N: int) -> None:
+    """Write ``ss`` and the trial length ``N`` as JSON; :func:`load_system` reads it back."""
+    doc = {
         "n_x": ss.n_x,
         "n_i": ss.n_i,
         "n_o": ss.n_o,
@@ -287,9 +253,14 @@ def system_to_json(ss: StateSpace, N: int) -> dict:
         "C": ss.C.tolist(),
         "D": ss.D.tolist(),
     }
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
 
 
-def system_from_json(doc: dict) -> tuple[StateSpace, int]:
+def load_system(path) -> tuple[StateSpace, int]:
+    with open(path) as fh:
+        doc = json.load(fh)
     n_x, n_i, n_o = int(doc["n_x"]), int(doc["n_i"]), int(doc["n_o"])
     ss = StateSpace(
         A=np.asarray(doc["A"], dtype=float).reshape(n_x, n_x),
@@ -298,14 +269,3 @@ def system_from_json(doc: dict) -> tuple[StateSpace, int]:
         D=np.asarray(doc["D"], dtype=float).reshape(n_o, n_i),
     )
     return ss, int(doc["N"])
-
-
-def save_system(path, ss: StateSpace, N: int) -> None:
-    with open(path, "w") as fh:
-        json.dump(system_to_json(ss, N), fh, indent=1)
-        fh.write("\n")
-
-
-def load_system(path) -> tuple[StateSpace, int]:
-    with open(path) as fh:
-        return system_from_json(json.load(fh))

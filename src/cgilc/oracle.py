@@ -10,6 +10,7 @@ selector experiments through :meth:`LiftedSystem.selector_responses`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("none", "gaussian"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not 0 <= self.sigma < math.inf:  # also false for NaN
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
 
     @property
     def active(self) -> bool:

@@ -10,7 +10,9 @@ from __future__ import annotations
 import math
 import os
 
-from .traces import read_trace_csv, records_as_arrays
+import numpy as np
+
+from .traces import read_trace_csv
 
 COST_FLOOR = 1e-18
 
@@ -74,9 +76,9 @@ class _Canvas:
 
 
 def _load_series(path, normalize: bool):
-    arrays = records_as_arrays(read_trace_csv(path))
-    x = arrays["experiments_cum"]
-    y = arrays["cost_measured"].copy()
+    records = read_trace_csv(path)
+    x = np.array([r.experiments_cum for r in records], dtype=float)
+    y = np.array([r.cost_measured for r in records])
     if normalize and y[0] > 0:
         y = y / y[0]
     y = y.clip(min=COST_FLOOR)

@@ -66,12 +66,6 @@ class SolverConfig:
         if not self.label:
             object.__setattr__(self, "label", self.kind)
 
-    @property
-    def effective_estimator(self) -> str:
-        if self.estimator is not None:
-            return self.estimator
-        return "full" if self.kind.startswith("det") else "single"
-
 
 @dataclass(frozen=True, slots=True)  # slots: a run keeps one record per iteration
 class IterationRecord:
@@ -91,10 +85,6 @@ class RunTrace:
     final_input: Signal | None = None
     stop_reason: str = ""
     notes: str = ""
-
-    @property
-    def initial_cost_true(self) -> float:
-        return self.records[0].cost_true
 
     def experiments_to_cost(self, threshold: float, measured: bool = False) -> int | None:
         """Cumulative experiments at the first record with cost <= threshold."""
@@ -159,7 +149,8 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
     """
     is_cg = cfg.kind in ("stoch_cg", "det_cg")
     fletcher_reeves = cfg.kind == "det_cg"
-    single = cfg.effective_estimator == "single"
+    estimator = cfg.estimator or ("full" if cfg.kind.startswith("det") else "single")
+    single = estimator == "single"
     optimal_mode = cfg.step_mode == "optimal_line_search"
     gradient_experiments = 1 if single else oracle.n_i * oracle.n_o
     mask_rng = stream(cfg.seed, MASK_STREAM)
@@ -272,7 +263,7 @@ def _run_norm_optimal(oracle: PlantOracle, cfg: SolverConfig, system: LiftedSyst
     delta, _, rank, _ = np.linalg.lstsq(system.matrix, e1.data, rcond=1e-12)
     if rank < system.matrix.shape[1]:
         trace.notes = f"rank-deficient model (rank {rank}); pseudo-inverse update"
-    f2 = f1 + Signal(delta, "input", oracle.N, oracle.n_i)
+    f2 = Signal(f1.data + delta, "input", oracle.N, oracle.n_i)
     e2, cost2 = oracle.run_trial(f2)
     trace.records.append(IterationRecord(
         2, oracle.snapshot_count(), cost2, oracle.true_cost(f2), None, None, False))

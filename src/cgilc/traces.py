@@ -7,8 +7,6 @@ the files byte for byte.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .solvers import IterationRecord, RunTrace
 
 CSV_HEADER = "j,experiments_cum,cost_measured,cost_true,epsilon,tau,reset"
@@ -54,11 +52,3 @@ def read_trace_csv(path) -> list[IterationRecord]:
     if not records:
         raise ValueError(f"{path}: no data rows")
     return records
-
-
-def records_as_arrays(records: list[IterationRecord]) -> dict[str, np.ndarray]:
-    return {
-        "experiments_cum": np.array([r.experiments_cum for r in records], dtype=float),
-        "cost_measured": np.array([r.cost_measured for r in records]),
-        "cost_true": np.array([r.cost_true for r in records]),
-    }

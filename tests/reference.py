@@ -4,11 +4,13 @@ the gradient estimators apply.
 The package applies time reversal and channel mixing inline, on the measured
 arrays; these are the same maps written out as operators and as dense
 matrices, so the tests can check the estimators and the lifted operator
-against them.
+against them.  :class:`FixedBits` stands in for the mask stream's generator,
+so a test can hand the stochastic gradient a chosen mask.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,4 +70,26 @@ def adjoint_apply(system: LiftedSystem, v: Signal) -> Signal:
 
 def time_reverse(x: Signal) -> Signal:
     """Reverse sample order within each channel; channel order is kept."""
-    return x.with_data(TimeReversal(x.N, x.channels)(x.data))
+    return Signal(TimeReversal(x.N, x.channels)(x.data), x.space, x.N, x.channels)
+
+
+class FixedBits:
+    """Generator stub whose ``integers(0, 2, size)`` returns chosen 0/1 bits.
+
+    Passed as the stochastic gradient's ``rng``, it fixes the +-1 mask to
+    ``2 * bits - 1``; the bits are reshaped to the requested size.
+    """
+
+    def __init__(self, bits):
+        self.bits = np.asarray(bits)
+
+    def integers(self, low, high, size):
+        if (low, high) != (0, 2):
+            raise ValueError(f"FixedBits draws 0/1 bits only, not [{low}, {high})")
+        return self.bits.reshape(size)
+
+
+def every_mask(n_i: int, n_o: int):
+    """A :class:`FixedBits` for each of the 2^(n_i*n_o) masks of shape (n_i, n_o)."""
+    for bits in itertools.product((0, 1), repeat=n_i * n_o):
+        yield FixedBits(bits)

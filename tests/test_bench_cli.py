@@ -100,6 +100,11 @@ class TestSpecParsing:
         spec = spec_from_json(tiny_spec_doc())
         assert spec.seeds == (77,)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma_is_usage_error(self, sigma):
+        with pytest.raises(UsageError, match="sigma"):
+            spec_from_json(tiny_spec_doc(noise_kind="gaussian", sigma=sigma))
+
     def test_custom_disturbance_source(self, tmp_path):
         dist_path = tmp_path / "dist.json"
         dist_path.write_text(json.dumps(
@@ -319,6 +324,11 @@ class TestCli:
                                                      "data": [float("nan")] + [0.5] * 11})
         assert self.run_doc(tmp_path, doc) == 2
         assert "non-finite" in capsys.readouterr().err
+
+    def test_malformed_master_seed_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("ILC_MASTER_SEED", "abc")
+        assert self.run_doc(tmp_path, tiny_spec_doc()) == 2
+        assert "usage error: ILC_MASTER_SEED" in capsys.readouterr().err
 
     def test_missing_custom_disturbance_file_is_usage_error(self, tmp_path):
         doc = tiny_spec_doc()

@@ -1,22 +1,18 @@
-import itertools
-
 import numpy as np
-import pytest
 
 from cgilc import (
-    BernoulliMask,
     NoiseModel,
     PlantOracle,
     Signal,
     deterministic_gradient,
-    draw_mask,
     generate_system,
     lift,
     make_step_disturbance,
     stochastic_gradient,
 )
+from cgilc.gradients import _signs
 from conftest import rel_err, small_system
-from reference import ChannelMixer, adjoint_apply
+from reference import ChannelMixer, FixedBits, adjoint_apply, every_mask
 
 
 def oracle_for(J, amplitude=1.0, noise=NoiseModel()):
@@ -28,38 +24,22 @@ def exact_gradient(J, e):
     return -2.0 * adjoint_apply(J, e).data
 
 
-def all_masks(n_i, n_o):
-    for bits in itertools.product((-1.0, 1.0), repeat=n_i * n_o):
-        yield BernoulliMask(np.array(bits).reshape(n_i, n_o))
-
-
 class TestMask:
     def test_siso_mask_values(self):
         rng = np.random.default_rng(0)
-        seen = {draw_mask(rng, 1, 1).a[0, 0] for _ in range(50)}
+        seen = {_signs(rng, 1, 1)[0, 0] for _ in range(50)}
         assert seen == {-1.0, 1.0}
 
     def test_entries_have_zero_mean(self):
         rng = np.random.default_rng(7)
-        draws = np.stack([draw_mask(rng, 2, 3).a for _ in range(10_000)])
+        draws = np.stack([_signs(rng, 2, 3) for _ in range(10_000)])
         assert np.abs(draws.mean(axis=0)).max() < 0.05
 
     def test_fixed_seed_reproduces_sequence(self):
-        a = [draw_mask(np.random.default_rng(42), 2, 2).a for _ in range(5)]
-        b = [draw_mask(np.random.default_rng(42), 2, 2).a for _ in range(5)]
+        a = [_signs(np.random.default_rng(42), 2, 2) for _ in range(5)]
+        b = [_signs(np.random.default_rng(42), 2, 2) for _ in range(5)]
         for ma, mb in zip(a, b):
             assert np.array_equal(ma, mb)
-
-    def test_rejects_non_pm_one(self):
-        with pytest.raises(ValueError):
-            BernoulliMask(np.array([[0.5]]))
-
-    def test_caller_array_stays_writeable(self):
-        a = np.array([[1.0, -1.0]])
-        mask = BernoulliMask(a)
-        assert a.flags.writeable and not mask.a.flags.writeable
-        a[0, 0] = -1.0
-        assert mask.a[0, 0] == 1.0
 
 
 class TestExpandMask:
@@ -74,8 +54,7 @@ class TestExpandMask:
         assert mix(v).tolist() == [-9.0, -18.0, -27.0]
 
     def test_matches_dense_kronecker(self, rng):
-        mask = draw_mask(rng, 3, 2)
-        mix = ChannelMixer(mask.a, N=4)
+        mix = ChannelMixer(_signs(rng, 3, 2), N=4)
         v = rng.standard_normal(8)
         dense = mix.matrix() @ v
         assert np.max(np.abs(mix(v) - dense)) < 1e-15
@@ -86,9 +65,9 @@ class TestStochasticGradient:
         _, J = small_system(seed=6, n_i=1, n_o=1, N=9)
         e = Signal(rng.standard_normal(9), "output", 9, 1)
         expected = exact_gradient(J, e)
-        for sign in (-1.0, 1.0):
+        for bit in (0, 1):  # masks [[-1]] and [[+1]]
             oracle = oracle_for(J)
-            est = stochastic_gradient(oracle, e, mask=BernoulliMask(np.array([[sign]])))
+            est = stochastic_gradient(oracle, e, FixedBits([[bit]]))
             assert rel_err(est.data, expected) < 1e-13
             assert oracle.snapshot_count() == 1
 
@@ -102,18 +81,19 @@ class TestStochasticGradient:
         _, J = small_system(seed=8, n_i=2, n_o=2, N=6)
         e = Signal(rng.standard_normal(J.N * J.n_o), "output", J.N, J.n_o)
         acc = np.zeros(J.N * J.n_i)
-        masks = list(all_masks(2, 2))
+        masks = list(every_mask(2, 2))
         assert len(masks) == 16
         for mask in masks:
-            acc += stochastic_gradient(oracle_for(J), e, mask=mask).data
+            acc += stochastic_gradient(oracle_for(J), e, mask).data
         assert rel_err(acc / len(masks), exact_gradient(J, e)) < 1e-12
 
     def test_scaling_equivariance(self, rng):
         _, J = small_system(seed=4, n_i=2, n_o=3, N=5)
-        mask = draw_mask(rng, 2, 3)
+        mask = FixedBits(rng.integers(0, 2, (2, 3)))
         e = Signal(rng.standard_normal(J.N * J.n_o), "output", J.N, J.n_o)
-        g1 = stochastic_gradient(oracle_for(J), e, mask=mask).data
-        g2 = stochastic_gradient(oracle_for(J), 2.5 * e, mask=mask).data
+        e_scaled = Signal(2.5 * e.data, "output", J.N, J.n_o)
+        g1 = stochastic_gradient(oracle_for(J), e, mask).data
+        g2 = stochastic_gradient(oracle_for(J), e_scaled, mask).data
         assert rel_err(g2, 2.5 * g1) < 1e-13
 
     def test_uses_one_experiment(self, rng):
@@ -144,7 +124,7 @@ class TestDeterministicGradient:
         e = Signal(rng.standard_normal(7), "output", 7, 1)
         det_oracle, sto_oracle = oracle_for(J), oracle_for(J)
         det = deterministic_gradient(det_oracle, e)
-        sto = stochastic_gradient(sto_oracle, e, mask=BernoulliMask(np.array([[1.0]])))
+        sto = stochastic_gradient(sto_oracle, e, FixedBits([[1]]))
         assert det_oracle.snapshot_count() == sto_oracle.snapshot_count() == 1
         assert rel_err(det.data, sto.data) < 1e-14
 
@@ -165,8 +145,8 @@ class TestUnbiasednessSweep:
             e = Signal(rng.standard_normal(J.N * J.n_o), "output", J.N, J.n_o)
             acc = np.zeros(J.N * J.n_i)
             count = 0
-            for mask in all_masks(n_i, n_o):
-                acc += stochastic_gradient(oracle_for(J), e, mask=mask).data
+            for mask in every_mask(n_i, n_o):
+                acc += stochastic_gradient(oracle_for(J), e, mask).data
                 count += 1
             assert count == 2 ** (n_i * n_o)
             assert rel_err(acc / count, exact_gradient(J, e)) < 1e-12

@@ -17,6 +17,11 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(kind="gaussian", sigma=-0.1)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseModel("gaussian", sigma)
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             NoiseModel(kind="uniform")
@@ -91,7 +96,7 @@ class TestProbe:
                 u = np.zeros((J.n_i, J.N))
                 u[l] = te[m]
                 w = oracle_b.probe(Signal(u.reshape(-1), "input", J.N, J.n_i))
-                assert rel_err(R[l, m], w.channel(m)) < 1e-12
+                assert rel_err(R[l, m], w.data.reshape(J.n_o, J.N)[m]) < 1e-12
         assert oracle_a.snapshot_count() == oracle_b.snapshot_count() == 6
 
     def test_probe_selectors_rejects_a_wrong_shape(self):

@@ -69,7 +69,7 @@ def check_products(system, rng):
         for m in range(n_o):
             u = np.zeros((n_i, N))
             u[l] = te[m]
-            ref = apply(system, Signal(u.reshape(-1), "input", N, n_i)).channel(m)
+            ref = apply(system, Signal(u.reshape(-1), "input", N, n_i)).data.reshape(n_o, N)[m]
             assert rel_err(R[l, m], ref) <= TOL
     oracle = PlantOracle(system, make_step_disturbance(N, n_o))
     e = Signal(rng.standard_normal(N * n_o), "output", N, n_o)
@@ -177,7 +177,7 @@ def test_noisy_probe_selectors_equals_sequential_probes(monkeypatch, rng, branch
             u = np.zeros((2, 8))
             u[l] = te[m]
             w = single.probe(Signal(u.reshape(-1), "input", 8, 2))
-            assert np.array_equal(R[l, m], w.channel(m))
+            assert np.array_equal(R[l, m], w.data.reshape(2, 8)[m])
     assert R.any()
     assert batch.snapshot_count() == single.snapshot_count() == 4
     zero = Signal.zeros("input", 8, 2)  # its measurement is the next noise draw
@@ -225,3 +225,16 @@ def test_structured_apply_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_public_api_is_exactly_this_list():
+    """Re-exporting a name (test-only helpers included) means editing this list."""
+    assert set(cgilc.__all__) == {
+        "DegenerateDirectionError", "IterationRecord", "LiftedSystem", "LiftingError",
+        "NoiseModel", "PlantOracle", "RunTrace", "Signal", "SolverConfig", "StateSpace",
+        "conjugation_coefficient", "default_noise_sigma", "deterministic_gradient",
+        "fletcher_reeves_coefficient", "generate_system", "lift", "load_system",
+        "make_step_disturbance", "markov_parameters", "optimal_step", "run_solver",
+        "save_system", "stochastic_gradient",
+    }
+    assert all(hasattr(cgilc, name) for name in cgilc.__all__)
