@@ -21,7 +21,7 @@ import numpy as np
 from .lifted import LiftedSystem, Signal, lift, load_system
 from .oracle import NoiseModel, PlantOracle
 from .rng import combine
-from .solvers import RunTrace, SolverConfig, run_solver
+from .solvers import RunTrace, SolverConfig, check_integer, run_solver
 from .sysgen import generate_system, make_step_disturbance
 from .traces import write_trace
 
@@ -106,10 +106,10 @@ def spec_from_json(doc: dict) -> BenchmarkSpec:
         noise_doc = doc.get("noise", {"kind": "none"})
         noise = NoiseModel(kind=noise_doc.get("kind", "none"),
                            sigma=float(noise_doc.get("sigma", 0.0)),
-                           seed=int(noise_doc.get("seed", 0)))
+                           seed=check_integer("noise seed", noise_doc.get("seed", 0)))
         solvers = tuple(_solver_from_json(s) for s in doc["solvers"])
-        budget = int(doc["budget"])
-        seeds = tuple(int(s) for s in doc.get("seeds", [0]))
+        budget = check_integer("budget", doc["budget"])
+        seeds = tuple(check_integer("seeds entry", s) for s in doc.get("seeds", [0]))
     except KeyError as exc:
         raise UsageError(f"missing spec field: {exc}") from exc
     except (TypeError, ValueError) as exc:

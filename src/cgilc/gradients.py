@@ -20,23 +20,32 @@ def _signs(rng: np.random.Generator, n_i: int, n_o: int) -> np.ndarray:
     return rng.integers(0, 2, size=(n_i, n_o)) * 2.0 - 1.0
 
 
-def stochastic_gradient(oracle: PlantOracle, e: Signal,
+def stochastic_gradient(oracle: PlantOracle, e: np.ndarray,
                         rng: np.random.Generator) -> Signal:
-    """Unbiased single-experiment gradient estimate -2 T A (J A T e).
+    """Single-experiment gradient estimate -2 T A (J A T e) of the measured error e.
 
     T reverses the samples of each channel and A mixes channels sample-wise
-    by a +-1 mask a (``a kron I_N``) drawn fresh from ``rng``.  Uses exactly
-    one probe experiment.
+    by a +-1 mask a (``a kron I_N``) drawn fresh from ``rng``; the mean over
+    all masks is the gradient -2 J^T e.  A mask that makes A T e exactly zero
+    while e is not (a step disturbance leaves equal error channels) is drawn
+    again before the probe is spent.  Noise-free, such a mask would estimate
+    zero, so this conditions the estimate's mean to a positive multiple of
+    the gradient; the line search removes the scale.  Uses exactly one probe
+    experiment.
     """
     N, n_i, n_o = oracle.N, oracle.n_i, oracle.n_o
+    te = e.reshape(n_o, N)[:, ::-1]
     a = _signs(rng, n_i, n_o)
-    u = a.dot(e.data.reshape(n_o, N)[:, ::-1])  # A T e, the probe's input
-    w = oracle.probe(Signal(u, "input", N, n_i)).data
+    u = a.dot(te)  # A T e, the probe's input
+    while not u.any() and te.any():
+        a = _signs(rng, n_i, n_o)
+        u = a.dot(te)
+    w = oracle.probe(Signal(u, "input", N, n_i))
     return Signal(-2.0 * a.dot(w.reshape(n_o, N))[:, ::-1], "input", N, n_i)
 
 
-def deterministic_gradient(oracle: PlantOracle, e: Signal) -> Signal:
-    """Full gradient from n_i*n_o selector experiments, exact when noise-free.
+def deterministic_gradient(oracle: PlantOracle, e: np.ndarray) -> Signal:
+    """Full gradient of the measured error e from n_i*n_o selector experiments.
 
     Channel pair (l, m) is isolated by a selector that routes time-reversed
     error channel m into input channel l and reads output channel m; summing
@@ -44,5 +53,5 @@ def deterministic_gradient(oracle: PlantOracle, e: Signal) -> Signal:
     -2 J^T e exactly when measurements are noise-free.
     """
     N, n_i, n_o = oracle.N, oracle.n_i, oracle.n_o
-    acc = oracle.probe_selectors(e.data.reshape(n_o, N)[:, ::-1]).sum(axis=1)
+    acc = oracle.probe_selectors(e.reshape(n_o, N)[:, ::-1]).sum(axis=1)
     return Signal(-2.0 * acc[:, ::-1], "input", N, n_i)

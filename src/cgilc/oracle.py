@@ -41,9 +41,12 @@ class NoiseModel:
 class PlantOracle:
     """Counted, optionally noisy access to y = J u and e = r - J f.
 
-    ``N``, ``n_i`` and ``n_o`` are the plant's trial length and channel
-    counts.  Single-owner mutable state (experiment counter plus noise
-    stream); do not share one oracle between concurrent solver runs.
+    Signals in, arrays out: trial and probe inputs are input-space
+    :class:`Signal` objects, checked on every call, and every result is a
+    plain array or float.  ``N``, ``n_i`` and ``n_o`` are the plant's trial
+    length and channel counts.  Single-owner mutable state (experiment
+    counter plus noise stream); do not share one oracle between concurrent
+    solver runs.
     """
 
     def __init__(self, system: LiftedSystem, disturbance: Signal,
@@ -58,7 +61,6 @@ class PlantOracle:
         self._sigma = noise.sigma if noise.active else 0.0
         self._rng = stream(noise.seed, NOISE_STREAM)
         self._count = 0
-        self._last_trial: tuple[Signal | None, np.ndarray | None] = (None, None)
 
     def snapshot_count(self) -> int:
         """Current experiment count; no side effects."""
@@ -73,24 +75,25 @@ class PlantOracle:
         if (u.space, u.N, u.channels) != self._input:
             raise ValueError("signal is not an input of this plant")
 
-    def run_trial(self, f: Signal) -> tuple[Signal, float]:
-        """Apply input f for one trial; measure e = r - (J f + noise).
+    def run_trial(self, f: Signal) -> tuple[np.ndarray, float, float]:
+        """Apply input f for one trial; measure e = r - (J f + noise).  One experiment.
 
-        Returns the measured error and its squared norm (the measured cost).
-        Counts as one experiment.
+        Returns e, its squared norm (the measured cost) and the noise-free cost
+        ||r - J f||^2 of the same product: simulation bookkeeping that counts
+        no experiment, and the measured cost bit for bit when noise-free.
         """
         self._check_input(f)
         self._count += 1
         Jf = self._system.product(f.data)
-        self._last_trial = (f, Jf)
-        e = Signal(self._r - self._measure(Jf), "output", self.N, self.n_o)
-        return e, e.norm_sq()
+        e = self._r - self._measure(Jf)
+        d = self._r - Jf if self._sigma else e  # the noise-free error
+        return e, float(e.dot(e)), float(d.dot(d))
 
-    def probe(self, u: Signal) -> Signal:
+    def probe(self, u: Signal) -> np.ndarray:
         """Dedicated experiment measuring J u + noise, without the disturbance."""
         self._check_input(u)
         self._count += 1
-        return Signal(self._measure(self._system.product(u.data)), "output", self.N, self.n_o)
+        return self._measure(self._system.product(u.data))
 
     def probe_selectors(self, te: np.ndarray) -> np.ndarray:
         """The n_i*n_o selector experiments of the deterministic gradient.
@@ -116,13 +119,7 @@ class PlantOracle:
         return R
 
     def true_cost(self, f: Signal) -> float:
-        """Noise-free cost ||r - J f||^2; analysis bookkeeping, not an experiment.
-
-        Reuses the J f of the last trial when ``f`` is that trial's input.
-        """
+        """Noise-free cost ||r - J f||^2; analysis bookkeeping, not an experiment."""
         self._check_input(f)
-        last_f, Jf = self._last_trial
-        if f is not last_f:
-            Jf = self._system.product(f.data)
-        e = self._r - Jf
+        e = self._r - self._system.product(f.data)
         return float(e.dot(e))

@@ -15,10 +15,9 @@ NOISE_STREAM = 1
 MASK_STREAM = 2
 
 
-def stream(seed, stream_id: int) -> np.random.Generator:
-    """Generator for the given named stream; ``seed`` may be an int or tuple."""
-    entropy = seed if isinstance(seed, (tuple, list)) else (int(seed),)
-    return np.random.default_rng(np.random.SeedSequence(tuple(entropy), spawn_key=(stream_id,)))
+def stream(seed: int, stream_id: int) -> np.random.Generator:
+    """Generator for the named stream ``stream_id`` of the integer ``seed``."""
+    return np.random.default_rng(np.random.SeedSequence((int(seed),), spawn_key=(stream_id,)))
 
 
 def combine(*seeds: int) -> int:

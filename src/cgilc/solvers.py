@@ -13,6 +13,7 @@ p regardless of how p was produced.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,13 @@ COST_TOL = 1e-16  # stop once the true cost falls below this share of the first
 
 class DegenerateDirectionError(ZeroDivisionError):
     """Search direction maps to (numerically) nothing through the plant."""
+
+
+def check_integer(name: str, value) -> int:
+    """``value`` if it is an integer (a bool is not); otherwise a ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -53,10 +61,11 @@ class SolverConfig:
         if self.kind == "stoch_cg" and self.step_mode != "optimal_line_search":
             raise ValueError("stoch_cg conjugates against the J p of the previous line "
                              "search, so it needs step_mode 'optimal_line_search'")
-        if self.max_iterations < 1:
+        if check_integer("max_iterations", self.max_iterations) < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.reset_period is not None and self.reset_period < 1:
+        if self.reset_period is not None and check_integer("reset_period", self.reset_period) < 1:
             raise ValueError("reset_period must be >= 1")
+        check_integer("seed", self.seed)
         if self.decay_a is not None and not self.decay_a > 0:
             raise ValueError("decay_a must be > 0")
         if not 0.5 < self.decay_gamma <= 1.0:
@@ -185,9 +194,8 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
             trace.stop_reason = "budget"
             break
 
-        e, cost_measured = oracle.run_trial(f)
+        e, cost_measured, cost_true = oracle.run_trial(f)
         experiments_at_trial = oracle.snapshot_count()
-        cost_true = oracle.true_cost(f)
         if cost0_true is None:
             cost0_true = cost_true
         if cost_true <= COST_TOL * cost0_true:
@@ -205,7 +213,7 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
         tau: float | None = None
         reset_flag = False
         if probe_Jg:
-            Jg = oracle.probe(g).data
+            Jg = oracle.probe(g)
             observe(g_sq, float(Jg.dot(Jg)))
             if (Jp_prev_sq > EPS_DENOMINATOR_TOL * p_sq * gain_sq_est
                     and Jp_prev_sq > 0.0):
@@ -221,7 +229,7 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
 
         eps: float | None
         if line_search:
-            Jp = oracle.probe(p).data
+            Jp = oracle.probe(p)
             p_sq, Jp_sq = p.norm_sq(), float(Jp.dot(Jp))
             observe(p_sq, Jp_sq)
             if Jp_sq <= EPS_DENOMINATOR_TOL * p_sq * gain_sq_est or Jp_sq <= 0.0:
@@ -229,7 +237,7 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
                     j, experiments_at_trial, cost_measured, cost_true, None, tau, reset_flag))
                 trace.stop_reason = "degenerate_direction"
                 break
-            eps = optimal_step(e.data, Jp, Jp_sq)
+            eps = optimal_step(e, Jp, Jp_sq)
             Jp_prev, Jp_prev_sq = Jp, Jp_sq
             if not optimal_mode:
                 decay_a = abs(eps)  # anchor the schedule to the first measured step
@@ -257,16 +265,16 @@ def _run_norm_optimal(oracle: PlantOracle, cfg: SolverConfig, system: LiftedSyst
     _over_budget(oracle, budget, planned=2, j=1)
     trace = RunTrace(config=cfg, stop_reason="completed")
     f1 = Signal.zeros("input", oracle.N, oracle.n_i)
-    e1, cost1 = oracle.run_trial(f1)
+    e1, cost1, cost1_true = oracle.run_trial(f1)
     trace.records.append(IterationRecord(
-        1, oracle.snapshot_count(), cost1, oracle.true_cost(f1), 1.0, None, False))
-    delta, _, rank, _ = np.linalg.lstsq(system.matrix, e1.data, rcond=1e-12)
+        1, oracle.snapshot_count(), cost1, cost1_true, 1.0, None, False))
+    delta, _, rank, _ = np.linalg.lstsq(system.matrix, e1, rcond=1e-12)
     if rank < system.matrix.shape[1]:
         trace.notes = f"rank-deficient model (rank {rank}); pseudo-inverse update"
     f2 = Signal(f1.data + delta, "input", oracle.N, oracle.n_i)
-    e2, cost2 = oracle.run_trial(f2)
+    _, cost2, cost2_true = oracle.run_trial(f2)
     trace.records.append(IterationRecord(
-        2, oracle.snapshot_count(), cost2, oracle.true_cost(f2), None, None, False))
+        2, oracle.snapshot_count(), cost2, cost2_true, None, None, False))
     trace.final_input = f2
     return trace
 

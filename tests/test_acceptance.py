@@ -132,11 +132,11 @@ class TestCriterion2ExactUnbiasedness:
                 continue
             r = make_step_disturbance(J.N, J.n_o, 1.0)
             e = Signal(rng.standard_normal(J.N * J.n_o), "output", J.N, J.n_o)
-            det = deterministic_gradient(PlantOracle(J, r), e).data
+            det = deterministic_gradient(PlantOracle(J, r), e.data).data
             acc = np.zeros(J.N * J.n_i)
             count = 0
             for mask in every_mask(J.n_i, J.n_o):
-                acc += stochastic_gradient(PlantOracle(J, r), e, mask).data
+                acc += stochastic_gradient(PlantOracle(J, r), e.data, mask).data
                 count += 1
             assert count == 2 ** pairs
             assert _rel_err(acc / count, det) < 1e-12

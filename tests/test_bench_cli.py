@@ -330,6 +330,18 @@ class TestCli:
         assert self.run_doc(tmp_path, tiny_spec_doc()) == 2
         assert "usage error: ILC_MASTER_SEED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,field,value", [
+        ("solver", "max_iterations", 2.5), ("solver", "max_iterations", True),
+        ("solver", "reset_period", 1.5), ("solver", "seed", 1.5),
+        ("spec", "budget", 200.7), ("spec", "seeds", [0.5]), ("noise", "seed", 0.5)])
+    def test_non_integer_count_or_seed_exits_2(self, tmp_path, capsys, section, field, value):
+        doc = tiny_spec_doc()
+        target = {"solver": doc["solvers"][0], "spec": doc, "noise": doc["noise"]}[section]
+        target[field] = value
+        assert self.run_doc(tmp_path, doc) == 2
+        assert "must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_custom_disturbance_file_is_usage_error(self, tmp_path):
         doc = tiny_spec_doc()
         doc["disturbance"] = {"kind": "custom", "path": str(tmp_path / "none.json")}

@@ -67,14 +67,14 @@ class TestStochasticGradient:
         expected = exact_gradient(J, e)
         for bit in (0, 1):  # masks [[-1]] and [[+1]]
             oracle = oracle_for(J)
-            est = stochastic_gradient(oracle, e, FixedBits([[bit]]))
+            est = stochastic_gradient(oracle, e.data, FixedBits([[bit]]))
             assert rel_err(est.data, expected) < 1e-13
             assert oracle.snapshot_count() == 1
 
     def test_zero_error_gives_zero(self, rng):
         _, J = small_system(seed=3)
         e = Signal.zeros("output", J.N, J.n_o)
-        est = stochastic_gradient(oracle_for(J), e, rng=rng)
+        est = stochastic_gradient(oracle_for(J), e.data, rng=rng)
         assert np.array_equal(est.data, np.zeros(J.N * J.n_i))
 
     def test_exhaustive_mean_is_unbiased_2x2(self, rng):
@@ -84,7 +84,7 @@ class TestStochasticGradient:
         masks = list(every_mask(2, 2))
         assert len(masks) == 16
         for mask in masks:
-            acc += stochastic_gradient(oracle_for(J), e, mask).data
+            acc += stochastic_gradient(oracle_for(J), e.data, mask).data
         assert rel_err(acc / len(masks), exact_gradient(J, e)) < 1e-12
 
     def test_scaling_equivariance(self, rng):
@@ -92,15 +92,15 @@ class TestStochasticGradient:
         mask = FixedBits(rng.integers(0, 2, (2, 3)))
         e = Signal(rng.standard_normal(J.N * J.n_o), "output", J.N, J.n_o)
         e_scaled = Signal(2.5 * e.data, "output", J.N, J.n_o)
-        g1 = stochastic_gradient(oracle_for(J), e, mask).data
-        g2 = stochastic_gradient(oracle_for(J), e_scaled, mask).data
+        g1 = stochastic_gradient(oracle_for(J), e.data, mask).data
+        g2 = stochastic_gradient(oracle_for(J), e_scaled.data, mask).data
         assert rel_err(g2, 2.5 * g1) < 1e-13
 
     def test_uses_one_experiment(self, rng):
         _, J = small_system(seed=4)
         oracle = oracle_for(J)
         e = Signal(rng.standard_normal(J.N * J.n_o), "output", J.N, J.n_o)
-        stochastic_gradient(oracle, e, rng=rng)
+        stochastic_gradient(oracle, e.data, rng=rng)
         assert oracle.snapshot_count() == 1
 
 
@@ -109,22 +109,22 @@ class TestDeterministicGradient:
         _, J = small_system(seed=2, n_i=2, n_o=3, N=6)
         oracle = oracle_for(J)
         e = Signal(rng.standard_normal(J.N * J.n_o), "output", J.N, J.n_o)
-        est = deterministic_gradient(oracle, e)
+        est = deterministic_gradient(oracle, e.data)
         assert rel_err(est.data, exact_gradient(J, e)) < 1e-12
         assert oracle.snapshot_count() == 6
 
     def test_zero_error_gives_zero(self):
         _, J = small_system(seed=3)
         e = Signal.zeros("output", J.N, J.n_o)
-        est = deterministic_gradient(oracle_for(J), e)
+        est = deterministic_gradient(oracle_for(J), e.data)
         assert np.array_equal(est.data, np.zeros(J.N * J.n_i))
 
     def test_siso_coincides_with_stochastic(self, rng):
         _, J = small_system(seed=6, n_i=1, n_o=1, N=7)
         e = Signal(rng.standard_normal(7), "output", 7, 1)
         det_oracle, sto_oracle = oracle_for(J), oracle_for(J)
-        det = deterministic_gradient(det_oracle, e)
-        sto = stochastic_gradient(sto_oracle, e, FixedBits([[1]]))
+        det = deterministic_gradient(det_oracle, e.data)
+        sto = stochastic_gradient(sto_oracle, e.data, FixedBits([[1]]))
         assert det_oracle.snapshot_count() == sto_oracle.snapshot_count() == 1
         assert rel_err(det.data, sto.data) < 1e-14
 
@@ -133,7 +133,7 @@ class TestDeterministicGradient:
         J = lift(ss, N=3)  # short trial: the experiment count is what matters
         oracle = oracle_for(J)
         e = Signal(rng.standard_normal(J.N * J.n_o), "output", J.N, J.n_o)
-        deterministic_gradient(oracle, e)
+        deterministic_gradient(oracle, e.data)
         assert oracle.snapshot_count() == 441
 
 
@@ -146,7 +146,7 @@ class TestUnbiasednessSweep:
             acc = np.zeros(J.N * J.n_i)
             count = 0
             for mask in every_mask(n_i, n_o):
-                acc += stochastic_gradient(oracle_for(J), e, mask).data
+                acc += stochastic_gradient(oracle_for(J), e.data, mask).data
                 count += 1
             assert count == 2 ** (n_i * n_o)
             assert rel_err(acc / count, exact_gradient(J, e)) < 1e-12
@@ -164,7 +164,7 @@ class TestUnbiasednessSweep:
         acc_sq = np.zeros(J.N * J.n_i)
         oracle = oracle_for(J)
         for _ in range(n_draws):
-            g = stochastic_gradient(oracle, e, rng=rng).data
+            g = stochastic_gradient(oracle, e.data, rng=rng).data
             acc += g
             acc_sq += g * g
         mean = acc / n_draws

@@ -79,8 +79,8 @@ def test_masked_gradient_scales_with_error(seed, alpha):
     mask = FixedBits(rng.integers(0, 2, (2, 2)))
     e = Signal(rng.standard_normal(10), "output", 5, 2)
     r = make_step_disturbance(5, 2, 1.0)
-    g1 = stochastic_gradient(PlantOracle(J, r), e, mask).data
-    g2 = stochastic_gradient(PlantOracle(J, r), Signal(alpha * e.data, "output", 5, 2), mask).data
+    g1 = stochastic_gradient(PlantOracle(J, r), e.data, mask).data
+    g2 = stochastic_gradient(PlantOracle(J, r), alpha * e.data, mask).data
     scale = max(np.abs(g1).max(), 1.0) * max(abs(alpha), 1.0)
     assert np.abs(g2 - alpha * g1).max() <= 1e-9 * scale
 

@@ -7,6 +7,7 @@ constant patched to 0; ``lifted.apply`` (the dense product) is the reference
 throughout.  The golden grid on this path is in ``test_golden_traces.py``.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -73,7 +74,7 @@ def check_products(system, rng):
             assert rel_err(R[l, m], ref) <= TOL
     oracle = PlantOracle(system, make_step_disturbance(N, n_o))
     e = Signal(rng.standard_normal(N * n_o), "output", N, n_o)
-    g = deterministic_gradient(oracle, e).data
+    g = deterministic_gradient(oracle, e.data).data
     assert rel_err(g, -2.0 * adjoint_apply(system, e).data) <= TOL
     assert oracle.snapshot_count() == n_i * n_o
 
@@ -107,7 +108,7 @@ def test_figure_runs_never_build_the_dense_matrix():
     r = make_step_disturbance(100, 21)
     run_solver(PlantOracle(system, r), SolverConfig("stoch_cg", max_iterations=3, seed=0))
     noisy = PlantOracle(system, r, NoiseModel("gaussian", 0.05, seed=1))
-    e, _ = noisy.run_trial(Signal.zeros("input", 100, 21))
+    e, _, _ = noisy.run_trial(Signal.zeros("input", 100, 21))
     deterministic_gradient(noisy, e)
     assert "matrix" not in vars(system)
 
@@ -131,7 +132,7 @@ def test_long_trial_runs_from_the_markov_parameters(rng):
     assert len(trace.records) == 5
     assert trace.records[-1].cost_true < trace.records[0].cost_true
     noisy = PlantOracle(system, make_step_disturbance(N, 21), NoiseModel("gaussian", 0.05, seed=1))
-    e, _ = noisy.run_trial(trace.final_input)
+    e, _, _ = noisy.run_trial(trace.final_input)
     tracemalloc.start()
     try:
         g = deterministic_gradient(noisy, e)
@@ -177,35 +178,36 @@ def test_noisy_probe_selectors_equals_sequential_probes(monkeypatch, rng, branch
             u = np.zeros((2, 8))
             u[l] = te[m]
             w = single.probe(Signal(u.reshape(-1), "input", 8, 2))
-            assert np.array_equal(R[l, m], w.data.reshape(2, 8)[m])
+            assert np.array_equal(R[l, m], w.reshape(2, 8)[m])
     assert R.any()
     assert batch.snapshot_count() == single.snapshot_count() == 4
     zero = Signal.zeros("input", 8, 2)  # its measurement is the next noise draw
-    assert np.array_equal(batch.probe(zero).data, single.probe(zero).data)
+    assert np.array_equal(batch.probe(zero), single.probe(zero))
 
 
-class TestFreeTrueCost:
-    def test_trial_input_reuses_the_trial_product(self, rng, monkeypatch):
-        system = SMALL_PLANTS["n_i3_n_o2"]()
-        oracle = PlantOracle(system, make_step_disturbance(12, 2),
-                             NoiseModel("gaussian", 0.1, seed=2))
-        f = Signal(rng.standard_normal(36), "input", 12, 3)
-        oracle.run_trial(f)
-        expected = PlantOracle(system, make_step_disturbance(12, 2)).true_cost(f)
-        monkeypatch.setattr(LiftedSystem, "product", lambda self, x: pytest.fail("product called"))
-        assert oracle.true_cost(f) == expected
-
-    def test_other_inputs_are_applied(self, rng):
-        system = SMALL_PLANTS["n_i3_n_o2"]()
-        r = make_step_disturbance(12, 2)
-        oracle = PlantOracle(system, r)
-        f = Signal(rng.standard_normal(36), "input", 12, 3)
-        oracle.run_trial(f)
-        g = Signal(f.data.copy(), "input", 12, 3)  # equal data, a different signal
-        h = Signal(rng.standard_normal(36), "input", 12, 3)
-        e = r.data - system.matrix @ h.data
-        assert oracle.true_cost(h) == float(e @ e)
-        assert oracle.true_cost(g) == oracle.true_cost(f)
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("branch", ["dense", "structured"])
+def test_trial_returns_its_noise_free_cost_from_one_product(monkeypatch, rng, branch, noisy):
+    if branch == "structured":
+        monkeypatch.setattr(cgilc.lifted, "STRUCTURED_MIN_ENTRIES", 0)
+    system = SMALL_PLANTS["n_i3_n_o2"]()
+    assert (system._spectrum is not None) == (branch == "structured")
+    r = make_step_disturbance(12, 2)
+    oracle = PlantOracle(system, r, NoiseModel("gaussian", 0.1, seed=2) if noisy
+                         else NoiseModel())
+    f = Signal(rng.standard_normal(36), "input", 12, 3)
+    expected = PlantOracle(system, r).true_cost(f)
+    products = []
+    product = LiftedSystem.product
+    monkeypatch.setattr(LiftedSystem, "product",
+                        lambda self, x: products.append(x) or product(self, x))
+    e, cost, cost_true = oracle.run_trial(f)
+    assert len(products) == 1
+    assert cost_true == expected
+    assert cost == float(e @ e)
+    assert (cost == cost_true) != noisy  # noise-free, the measured cost is the true one
+    d = r.data - apply(system, f).data
+    assert rel_err(cost_true, float(d @ d)) <= TOL
 
 
 def test_structured_apply_imports_no_scipy():
@@ -238,3 +240,21 @@ def test_public_api_is_exactly_this_list():
         "save_system", "stochastic_gradient",
     }
     assert all(hasattr(cgilc, name) for name in cgilc.__all__)
+
+
+def test_package_modules_use_every_name_they_import():
+    """The project runs no linter; this catches an import that a deletion left behind."""
+    package = os.path.dirname(cgilc.lifted.__file__)
+    unused = []
+    for module in sorted(os.listdir(package)):
+        if not module.endswith(".py") or module == "__init__.py":
+            continue
+        with open(os.path.join(package, module)) as fh:
+            tree = ast.parse(fh.read())
+        imported = {alias.asname or alias.name.split(".")[0]: node.lineno
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{module}:{line} {name}" for name, line in imported.items()
+                   if name not in used and name != "annotations"]
+    assert unused == []
