@@ -27,8 +27,6 @@ from .traces import write_trace
 
 THRESHOLDS = (1e-1, 1e-2, 1e-3)
 
-MASTER_SEED_ENV = "ILC_MASTER_SEED"
-
 
 class UsageError(ValueError):
     """Malformed benchmark spec or arguments."""
@@ -116,12 +114,6 @@ def spec_from_json(doc: dict) -> BenchmarkSpec:
         if isinstance(exc, UsageError):
             raise
         raise UsageError(f"malformed spec: {exc}") from exc
-    env = os.environ.get(MASTER_SEED_ENV)
-    if env is not None:
-        try:
-            seeds = (int(env),)
-        except ValueError as exc:
-            raise UsageError(f"{MASTER_SEED_ENV} must be an integer, got {env!r}") from exc
     return BenchmarkSpec(system, disturbance, noise, solvers, budget, seeds)
 
 

@@ -217,8 +217,7 @@ class LiftedSystem:
             for l in range(n_i):
                 U[l, :, l, :] = te.T
             Y = self.matrix.dot(U.reshape(N * n_i, n_i * n_o)).reshape(n_o, N, n_i, n_o)
-            # a copy: the diagonal is a read-only view, and the oracle adds noise in place
-            return Y.diagonal(axis1=0, axis2=3).transpose(1, 2, 0).copy()
+            return Y.diagonal(axis1=0, axis2=3).transpose(1, 2, 0)
         tf = np.fft.rfft(te, n=2 * N, axis=1)
         return np.fft.irfft(self._spectrum.transpose(2, 1, 0) * tf, n=2 * N, axis=2)[..., :N]
 

@@ -43,7 +43,9 @@ class PlantOracle:
 
     Signals in, arrays out: trial and probe inputs are input-space
     :class:`Signal` objects, checked on every call, and every result is a
-    plain array or float.  ``N``, ``n_i`` and ``n_o`` are the plant's trial
+    plain array or float.  Each measured sample carries its own N(0, sigma^2)
+    draw from the noise stream, taken in call order for exactly the samples
+    a call returns.  ``N``, ``n_i`` and ``n_o`` are the plant's trial
     length and channel counts.  Single-owner mutable state (experiment
     counter plus noise stream); do not share one oracle between concurrent
     solver runs.
@@ -68,7 +70,7 @@ class PlantOracle:
 
     def _measure(self, data: np.ndarray) -> np.ndarray:
         if self._sigma:
-            return data + self._sigma * self._rng.standard_normal(data.size)
+            return data + self._sigma * self._rng.standard_normal(data.shape)
         return data
 
     def _check_input(self, u: Signal):
@@ -100,23 +102,15 @@ class PlantOracle:
 
         Experiment (l, m) applies ``te[m]`` (``te`` has shape (n_o, N)) on
         input channel l alone, and only its output channel m is read;
-        ``R[l, m]`` is that reading, shape (n_i, n_o, N).  Counts n_i*n_o
-        experiments.  Each experiment draws the noise of a whole output, so
-        the stream advances as it would over n_i*n_o single probes, and the
-        readings carry the same noise values as those probes' channel m.
+        ``R[l, m]`` is that reading, shape (n_i, n_o, N), with its own noise
+        on each sample.  Counts n_i*n_o experiments.
         """
         te = np.asarray(te, dtype=float)
         if te.shape != (self.n_o, self.N):
             raise ValueError(f"selector signals must have shape {(self.n_o, self.N)}, "
                              f"got {te.shape}")
         self._count += self.n_i * self.n_o
-        R = self._system.selector_responses(te)
-        if self._sigma:
-            m = np.arange(self.n_o)
-            for R_l in R:  # the experiments of input channel l, in order of m
-                noise = self._rng.standard_normal((self.n_o, self.n_o, self.N))
-                R_l += self._sigma * noise[m, m]
-        return R
+        return self._measure(self._system.selector_responses(te))
 
     def true_cost(self, f: Signal) -> float:
         """Noise-free cost ||r - J f||^2; analysis bookkeeping, not an experiment."""

@@ -183,6 +183,10 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
         if u_sq > 0.0:
             gain_sq_est = max(gain_sq_est, w_sq / u_sq)
 
+    def degenerate(u_sq: float, w_sq: float) -> bool:
+        """Whether a direction of ||u||^2 = u_sq maps to ||J u||^2 = w_sq of (numerically) 0."""
+        return w_sq <= EPS_DENOMINATOR_TOL * u_sq * gain_sq_est or w_sq <= 0.0
+
     for j in range(1, cfg.max_iterations + 1):
         reset_due = (is_cg and cfg.reset_period is not None and j > 1
                      and (j - 1) % cfg.reset_period == 0)
@@ -214,9 +218,9 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
         reset_flag = False
         if probe_Jg:
             Jg = oracle.probe(g)
-            observe(g_sq, float(Jg.dot(Jg)))
-            if (Jp_prev_sq > EPS_DENOMINATOR_TOL * p_sq * gain_sq_est
-                    and Jp_prev_sq > 0.0):
+            Jg_sq = float(Jg.dot(Jg))
+            observe(g_sq, Jg_sq)
+            if not degenerate(p_sq, Jp_prev_sq):
                 tau = conjugation_coefficient(Jp_prev, Jg, Jp_prev_sq)
         elif conjugate:  # Fletcher-Reeves
             if g_prev_sq > 0.0:
@@ -232,7 +236,11 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
             Jp = oracle.probe(p)
             p_sq, Jp_sq = p.norm_sq(), float(Jp.dot(Jp))
             observe(p_sq, Jp_sq)
-            if Jp_sq <= EPS_DENOMINATOR_TOL * p_sq * gain_sq_est or Jp_sq <= 0.0:
+            if probe_Jg and tau is not None and degenerate(p_sq, Jp_sq):
+                # the conjugated direction maps to nothing: step along g, whose J g is measured
+                p, Jp, p_sq, Jp_sq = g, Jg, g_sq, Jg_sq
+                tau, reset_flag = None, True
+            if degenerate(p_sq, Jp_sq):
                 records.append(IterationRecord(
                     j, experiments_at_trial, cost_measured, cost_true, None, tau, reset_flag))
                 trace.stop_reason = "degenerate_direction"

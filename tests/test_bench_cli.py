@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,13 @@ class TestTraceCsv:
         with pytest.raises(ValueError):
             read_trace_csv(p)
 
+    @pytest.mark.parametrize("body", ["", "\n\n"], ids=["header_only", "blank_lines"])
+    def test_rejects_a_file_without_data_rows(self, tmp_path, body):
+        p = tmp_path / "empty.csv"
+        p.write_text(trace_to_csv(synthetic_trace([])) + body)
+        with pytest.raises(ValueError, match="no data rows"):
+            read_trace_csv(p)
+
 
 class TestSpecParsing:
     def test_parses_minimal_spec(self):
@@ -95,10 +103,21 @@ class TestSpecParsing:
         with pytest.raises(UsageError):
             spec_from_json(doc)
 
-    def test_master_seed_env_override(self, monkeypatch):
-        monkeypatch.setenv("ILC_MASTER_SEED", "77")
-        spec = spec_from_json(tiny_spec_doc())
-        assert spec.seeds == (77,)
+    @pytest.mark.parametrize("section,field,value,match", [
+        ("spec", "seeds", [], "at least one seed"),
+        ("spec", "system", {"file": "sys.json"}, "'generate' or 'load'"),
+        ("spec", "disturbance", {"kind": "ramp"}, "unknown disturbance kind 'ramp'"),
+        ("spec", "budget", None, "missing spec field: 'budget'"),
+        ("spec", "solvers", None, "missing spec field: 'solvers'"),
+    ], ids=["empty_seeds", "no_system_source", "disturbance_kind", "no_budget", "no_solvers"])
+    def test_malformed_spec_is_usage_error(self, section, field, value, match):
+        doc = tiny_spec_doc()
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        with pytest.raises(UsageError, match=match):
+            spec_from_json(doc)
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
     def test_non_finite_sigma_is_usage_error(self, sigma):
@@ -319,16 +338,23 @@ class TestCli:
         assert self.run_doc(tmp_path, doc) == 2
         assert "lacks field 'channels'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["N", "C"])
+    def test_system_file_without_a_field_is_usage_error(self, tmp_path, capsys, field):
+        sys_path = tmp_path / "sys.json"
+        save_system(sys_path, generate_system(3, 2, 2, seed=9), N=5)
+        sys_doc = json.loads(sys_path.read_text())
+        del sys_doc[field]
+        sys_path.write_text(json.dumps(sys_doc))
+        doc = tiny_spec_doc()
+        doc["system"] = {"load": str(sys_path)}
+        assert self.run_doc(tmp_path, doc) == 2
+        assert f"system file lacks field '{field}'" in capsys.readouterr().err
+
     def test_non_finite_custom_disturbance_is_usage_error(self, tmp_path, capsys):
         doc = self.custom_disturbance_doc(tmp_path, {"N": 6, "channels": 2,
                                                      "data": [float("nan")] + [0.5] * 11})
         assert self.run_doc(tmp_path, doc) == 2
         assert "non-finite" in capsys.readouterr().err
-
-    def test_malformed_master_seed_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("ILC_MASTER_SEED", "abc")
-        assert self.run_doc(tmp_path, tiny_spec_doc()) == 2
-        assert "usage error: ILC_MASTER_SEED" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section,field,value", [
         ("solver", "max_iterations", 2.5), ("solver", "max_iterations", True),
@@ -360,6 +386,31 @@ class TestCli:
         summary = (tmp_path / "out" / "summary.csv").read_text()
         for first in (3, 6, 2):  # stoch_cg, det_gd on 2x2 channels, norm_optimal
             assert summary.count(f"error: budget 1 cannot pay for the {first} experiments") == 2
+
+    def test_plot_normalize_starts_every_curve_at_one(self, tmp_path):
+        p1, p2 = tmp_path / "alpha.csv", tmp_path / "beta.csv"
+        write_trace(synthetic_trace([100.0, 1.0]), p1)
+        write_trace(synthetic_trace([0.5, 0.05]), p2)
+        plain, normalized = tmp_path / "plain.svg", tmp_path / "normalized.svg"
+        assert main(["plot", "--out", str(plain), str(p1), str(p2)]) == 0
+        assert main(["plot", "--normalize", "--out", str(normalized), str(p1), str(p2)]) == 0
+
+        def first_ys(svg):
+            return [float(pts.split()[0].split(",")[1])
+                    for pts in re.findall(r'<polyline points="([^"]+)"', svg.read_text())]
+
+        assert len(set(first_ys(plain))) == 2
+        ys = first_ys(normalized)
+        assert len(ys) == 2 and ys[0] == ys[1]
+        assert ">1e0<" in normalized.read_text()  # the decade that the curves start on
+
+    def test_plot_warns_about_an_unreadable_trace(self, tmp_path, capsys):
+        good = tmp_path / "good.csv"
+        write_trace(synthetic_trace([10.0, 1.0]), good)
+        missing = tmp_path / "missing.csv"
+        assert main(["plot", "--out", str(tmp_path / "f.svg"), str(good), str(missing)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"warning: skipping {missing}: ")
 
     def test_plot_all_missing_fails(self, tmp_path):
         assert main(["plot", "--out", str(tmp_path / "f.svg"),

@@ -39,6 +39,17 @@ class TestStateSpace:
             StateSpace(A=np.eye(2) * 0.5, B=np.ones((2, 1)),
                        C=np.ones((1, 2)), D=np.ones((2, 2)))
 
+    @pytest.mark.parametrize("A,B,C,match", [
+        (np.zeros((2, 3)), np.ones((2, 1)), np.ones((1, 2)), "square"),
+        (np.eye(2) * 0.5, np.ones((3, 1)), np.ones((1, 2)), "rows"),
+        (np.eye(2) * 0.5, np.ones((2, 1)), np.ones((1, 3)), "columns"),
+        (np.eye(2) * 0.5, np.array([[1.0], [np.nan]]), np.ones((1, 2)), "finite"),
+        (np.eye(2) * 0.5, np.ones((2, 1)), np.array([[np.inf, 1.0]]), "finite"),
+    ], ids=["non_square_A", "B_rows", "C_columns", "nan_in_B", "inf_in_C"])
+    def test_rejects_malformed_matrices(self, A, B, C, match):
+        with pytest.raises(ValueError, match=match):
+            StateSpace(A=A, B=B, C=C, D=np.zeros((1, 1)))
+
     def test_dimension_metadata(self):
         ss = generate_system(5, 2, 3, seed=0)
         assert (ss.n_x, ss.n_i, ss.n_o) == (5, 2, 3)

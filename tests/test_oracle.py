@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cgilc import NoiseModel, PlantOracle, Signal, make_step_disturbance
+from cgilc.rng import NOISE_STREAM, stream
 from conftest import rel_err, small_system
 from reference import apply
 
@@ -64,6 +65,14 @@ class TestRunTrial:
         with pytest.raises(ValueError):
             oracle.run_trial(Signal.zeros("input", J.N + 1, J.n_i))
 
+    @pytest.mark.parametrize("space,dN,d_channels", [
+        ("input", 0, 0), ("output", 1, 0), ("output", 0, 1)])
+    def test_rejects_a_disturbance_that_does_not_fit_the_plant(self, space, dN, d_channels):
+        J, _ = make_oracle()
+        r = Signal.zeros(space, J.N + dN, J.n_o + d_channels)
+        with pytest.raises(ValueError, match="disturbance"):
+            PlantOracle(J, r)
+
 
 class TestProbe:
     def test_zero_input(self):
@@ -84,20 +93,22 @@ class TestProbe:
         mean = np.mean([oracle.probe(u) - exact for _ in range(20_000)], axis=0)
         assert np.abs(mean).max() < 0.005
 
-    def test_probe_selectors_matches_sequential_probes(self, rng):
-        noise = NoiseModel("gaussian", 0.3, seed=17)
-        J, oracle_a = make_oracle(seed=4, noise=noise, n_i=3)
-        _, oracle_b = make_oracle(seed=4, noise=noise, n_i=3)
+    def test_probe_selectors_draw_one_noise_value_per_reading(self, rng):
+        sigma, seed, calls = 0.3, 17, 100
+        J, noisy = make_oracle(seed=4, noise=NoiseModel("gaussian", sigma, seed=seed), n_i=3)
+        _, clean = make_oracle(seed=4, n_i=3)
         te = rng.standard_normal((J.n_o, J.N))
-        R = oracle_a.probe_selectors(te)
-        assert R.shape == (J.n_i, J.n_o, J.N)
-        for l in range(J.n_i):
-            for m in range(J.n_o):
-                u = np.zeros((J.n_i, J.N))
-                u[l] = te[m]
-                w = oracle_b.probe(Signal(u.reshape(-1), "input", J.N, J.n_i))
-                assert rel_err(R[l, m], w.reshape(J.n_o, J.N)[m]) < 1e-12
-        assert oracle_a.snapshot_count() == oracle_b.snapshot_count() == 6
+        noise = np.stack([noisy.probe_selectors(te) - clean.probe_selectors(te)
+                          for _ in range(calls)])
+        assert noise.shape == (calls, J.n_i, J.n_o, J.N)
+        assert abs(noise.mean()) < 5 * sigma / np.sqrt(noise.size)
+        assert abs(noise.std() / sigma - 1) < 0.05
+        assert noisy.snapshot_count() == calls * J.n_i * J.n_o
+        # the stream advanced by exactly one normal per reading
+        skipped = stream(seed, NOISE_STREAM)
+        skipped.standard_normal(noise.size)
+        zero = Signal.zeros("input", J.N, J.n_i)  # its measurement is the next noise draw
+        assert np.array_equal(noisy.probe(zero), sigma * skipped.standard_normal(J.N * J.n_o))
 
     def test_probe_selectors_rejects_a_wrong_shape(self):
         J, oracle = make_oracle()

@@ -80,6 +80,11 @@ class TestOptimalStep:
         Jp = Signal([0.0, 2.0], "output", 1, 2)
         assert optimal_step(e.data, Jp.data, Jp.norm_sq()) == 0.0
 
+    @pytest.mark.parametrize("Jp_sq", [0.0, -1.0])
+    def test_degenerate_denominator(self, Jp_sq):
+        with pytest.raises(DegenerateDirectionError):
+            optimal_step(np.ones(2), np.zeros(2), Jp_sq)
+
     def test_line_scan_minimality(self, rng):
         _, J = small_system(seed=2, n_i=2, n_o=2, N=6)
         r = make_step_disturbance(J.N, J.n_o, 1.0).data
@@ -388,6 +393,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig("stoch_cg", reset_period=0)
 
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"step_mode": "armijo"}, "step mode"),
+        ({"max_iterations": 0}, "max_iterations"),
+        ({"estimator": "half"}, "estimator"),
+    ], ids=["step_mode", "max_iterations", "estimator"])
+    def test_rejects_bad_field(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            SolverConfig("stoch_gd", **kwargs)
+
     def test_rejects_bad_decay(self):
         with pytest.raises(ValueError):
             SolverConfig("stoch_gd", step_mode="decaying", decay_a=-1.0)
@@ -433,6 +447,20 @@ class TestDegenerateCases:
         assert trace.stop_reason == "max_iterations"
         assert oracle.snapshot_count() == 9
         assert trace.records[-1].cost_true < trace.records[0].cost_true
+
+    def test_stoch_cg_steps_along_the_gradient_when_its_direction_is_degenerate(self):
+        # a sweep plant on which the second masked gradient is parallel to the
+        # first direction, so the conjugated p maps to J p = 0
+        J = lift(generate_system(0, 2, 2, seed=1866081361,
+                                 feedthrough_gain=0.035753591807763385), 9)
+        oracle = fresh_oracle(J)
+        trace = run_solver(oracle, SolverConfig("stoch_cg", max_iterations=80, seed=789126906),
+                           budget=400)
+        second = trace.records[1]
+        assert second.epsilon is not None and second.tau is None and second.reset
+        assert trace.stop_reason == "cost_tol"
+        assert len(trace.records) == 4
+        assert oracle.snapshot_count() == trace.records[-1].experiments_cum == 12
 
 
 PLAN_GRID = [
