@@ -18,10 +18,10 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .lifted import LiftedSystem, Signal, lift, load_system
+from .lifted import LiftedSystem, Signal, check_integer, lift, load_system
 from .oracle import NoiseModel, PlantOracle
 from .rng import combine
-from .solvers import RunTrace, SolverConfig, check_integer, run_solver
+from .solvers import RunTrace, SolverConfig, run_solver
 from .sysgen import generate_system, make_step_disturbance
 from .traces import write_trace
 
@@ -40,6 +40,10 @@ class GenerateSource:
     N: int
     seed: int
     feedthrough_gain: float = 0.0
+
+    def __post_init__(self):
+        for name in ("n_x", "n_i", "n_o", "N", "seed"):
+            check_integer(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -87,6 +91,9 @@ def _solver_from_json(doc: dict) -> SolverConfig:
 
 def spec_from_json(doc: dict) -> BenchmarkSpec:
     try:
+        for name in ("system", "disturbance", "noise"):
+            if name in doc and not isinstance(doc[name], dict):
+                raise UsageError(f"{name} must be a JSON object, got {doc[name]!r}")
         sys_doc = doc["system"]
         if "generate" in sys_doc:
             system = GenerateSource(**sys_doc["generate"])
@@ -148,7 +155,8 @@ def _realize_disturbance(spec: BenchmarkSpec, system: LiftedSystem) -> Signal:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        r = Signal(doc["data"], "output", int(doc["N"]), int(doc["channels"]))
+        r = Signal(doc["data"], "output", check_integer("N", doc["N"]),
+                   check_integer("channels", doc["channels"]))
     except KeyError as exc:
         raise UsageError(f"disturbance {path} lacks field {exc}") from exc
     except (OSError, TypeError, ValueError) as exc:

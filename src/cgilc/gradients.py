@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lifted import Signal
 from .oracle import PlantOracle
 
 
@@ -21,7 +20,7 @@ def _signs(rng: np.random.Generator, n_i: int, n_o: int) -> np.ndarray:
 
 
 def stochastic_gradient(oracle: PlantOracle, e: np.ndarray,
-                        rng: np.random.Generator) -> Signal:
+                        rng: np.random.Generator) -> np.ndarray:
     """Single-experiment gradient estimate -2 T A (J A T e) of the measured error e.
 
     T reverses the samples of each channel and A mixes channels sample-wise
@@ -31,27 +30,27 @@ def stochastic_gradient(oracle: PlantOracle, e: np.ndarray,
     again before the probe is spent.  Noise-free, such a mask would estimate
     zero, so this conditions the estimate's mean to a positive multiple of
     the gradient; the line search removes the scale.  Uses exactly one probe
-    experiment.
+    experiment.  ``e`` has shape (n_o, N) and the estimate shape (n_i, N).
     """
-    N, n_i, n_o = oracle.N, oracle.n_i, oracle.n_o
-    te = e.reshape(n_o, N)[:, ::-1]
+    n_i, n_o = oracle.n_i, oracle.n_o
+    te = e[:, ::-1]
     a = _signs(rng, n_i, n_o)
     u = a.dot(te)  # A T e, the probe's input
     while not u.any() and te.any():
         a = _signs(rng, n_i, n_o)
         u = a.dot(te)
-    w = oracle.probe(Signal(u, "input", N, n_i))
-    return Signal(-2.0 * a.dot(w.reshape(n_o, N))[:, ::-1], "input", N, n_i)
+    w = oracle.probe(u)
+    return -2.0 * a.dot(w)[:, ::-1]
 
 
-def deterministic_gradient(oracle: PlantOracle, e: np.ndarray) -> Signal:
+def deterministic_gradient(oracle: PlantOracle, e: np.ndarray) -> np.ndarray:
     """Full gradient of the measured error e from n_i*n_o selector experiments.
 
     Channel pair (l, m) is isolated by a selector that routes time-reversed
     error channel m into input channel l and reads output channel m; summing
     those readings over m (:meth:`PlantOracle.probe_selectors`) reconstructs
-    -2 J^T e exactly when measurements are noise-free.
+    -2 J^T e exactly when measurements are noise-free.  ``e`` has shape
+    (n_o, N) and the gradient shape (n_i, N).
     """
-    N, n_i, n_o = oracle.N, oracle.n_i, oracle.n_o
-    acc = oracle.probe_selectors(e.reshape(n_o, N)[:, ::-1]).sum(axis=1)
-    return Signal(-2.0 * acc[:, ::-1], "input", N, n_i)
+    acc = oracle.probe_selectors(e[:, ::-1]).sum(axis=1)
+    return -2.0 * acc[:, ::-1]

@@ -3,8 +3,8 @@
 A system with ``n_i`` inputs and ``n_o`` outputs acting over a finite trial
 of ``N`` samples is held as its first ``N`` Markov parameters.  As a matrix it
 is made of ``n_o x n_i`` lower-triangular Toeplitz blocks, one per
-input/output channel pair, acting on signals stacked channel-major: channel
-``l`` occupies the slice ``[l*N, (l+1)*N)``.
+input/output channel pair, acting on channel-major signals: channel ``l`` is
+row ``l`` of a ``(channels, N)`` array, the slice ``[l*N, (l+1)*N)`` flat.
 
 Large operators are applied by FFT block convolution of their Markov
 parameters (Golub & Van Loan, *Matrix Computations*, section 4.7), small ones
@@ -16,6 +16,7 @@ The dense matrix is built only when something asks for it.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,6 +32,13 @@ STRUCTURED_MIN_ENTRIES = 2 ** 18
 
 class LiftingError(ValueError):
     """Lifted operator could not be constructed (unstable or malformed model)."""
+
+
+def check_integer(name: str, value) -> int:
+    """``value`` if it is an integer (a bool is not); otherwise a ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -106,9 +114,7 @@ class Signal:
     def __init__(self, data, space: str, N: int, channels: int):
         if space not in ("input", "output"):
             raise ValueError(f"space must be 'input' or 'output', got {space!r}")
-        data = np.array(data, dtype=float)  # a copy: the caller's array stays its own
-        if data.ndim != 1:
-            data = data.reshape(-1)
+        data = np.array(data, dtype=float).reshape(-1)  # a copy: the caller's array stays its own
         if data.size != N * channels:
             raise ValueError(f"data length {data.size} != N*channels = {N * channels}")
         data.setflags(write=False)
@@ -117,13 +123,6 @@ class Signal:
         setattr_(self, "space", space)
         setattr_(self, "N", N)
         setattr_(self, "channels", channels)
-
-    @classmethod
-    def zeros(cls, space: str, N: int, channels: int) -> "Signal":
-        return cls(np.zeros(N * channels), space, N, channels)
-
-    def norm_sq(self) -> float:
-        return float(self.data.dot(self.data))
 
 
 @dataclass(frozen=True)
@@ -140,8 +139,8 @@ class LiftedSystem:
 
     def __post_init__(self):
         markov = np.array(self.markov, dtype=float)  # a copy: the caller's array stays writeable
-        if markov.ndim != 3 or len(markov) == 0:
-            raise ValueError(f"Markov parameters must have shape (N >= 1, n_o, n_i), "
+        if markov.ndim != 3 or 0 in markov.shape:
+            raise ValueError(f"Markov parameters must have shape (N >= 1, n_o >= 1, n_i >= 1), "
                              f"got {markov.shape}")
         if not np.isfinite(markov).all():
             raise LiftingError("non-finite Markov parameters")
@@ -190,17 +189,17 @@ class LiftedSystem:
         return np.fft.rfft(self.markov, n=2 * self.N, axis=0)
 
     def product(self, x: np.ndarray) -> np.ndarray:
-        """J x for one stacked input vector of length N*n_i.
+        """J x for one input x of shape (n_i, N); the output has shape (n_o, N).
 
         Dense ``matrix @ x`` for small operators; for large ones the block
         convolution by FFT, one ``n_o x n_i`` product per frequency.
         """
-        if self._spectrum is None:
-            return self.matrix.dot(x)  # the BLAS call of matrix @ x, with less dispatch
         N = self.N
+        if self._spectrum is None:  # matrix.dot: the BLAS call of matrix @ x, less dispatch
+            return self.matrix.dot(x.reshape(-1)).reshape(self.n_o, N)
         xf = np.fft.rfft(np.asarray(x, dtype=float).reshape(1, self.n_i, N), n=2 * N, axis=2)
         yf = np.matmul(self._spectrum, xf.transpose(2, 1, 0))
-        return np.fft.irfft(yf.transpose(2, 1, 0), n=2 * N, axis=2)[0, :, :N].reshape(-1)
+        return np.fft.irfft(yf.transpose(2, 1, 0), n=2 * N, axis=2)[0, :, :N]
 
     def selector_responses(self, te: np.ndarray) -> np.ndarray:
         """Responses to the selector inputs, shape (n_i, n_o, N).
@@ -260,11 +259,11 @@ def save_system(path, ss: StateSpace, N: int) -> None:
 def load_system(path) -> tuple[StateSpace, int]:
     with open(path) as fh:
         doc = json.load(fh)
-    n_x, n_i, n_o = int(doc["n_x"]), int(doc["n_i"]), int(doc["n_o"])
+    n_x, n_i, n_o = (check_integer(k, doc[k]) for k in ("n_x", "n_i", "n_o"))
     ss = StateSpace(
         A=np.asarray(doc["A"], dtype=float).reshape(n_x, n_x),
         B=np.asarray(doc["B"], dtype=float).reshape(n_x, n_i),
         C=np.asarray(doc["C"], dtype=float).reshape(n_o, n_x),
         D=np.asarray(doc["D"], dtype=float).reshape(n_o, n_i),
     )
-    return ss, int(doc["N"])
+    return ss, check_integer("N", doc["N"])

@@ -41,12 +41,13 @@ class NoiseModel:
 class PlantOracle:
     """Counted, optionally noisy access to y = J u and e = r - J f.
 
-    Signals in, arrays out: trial and probe inputs are input-space
-    :class:`Signal` objects, checked on every call, and every result is a
-    plain array or float.  Each measured sample carries its own N(0, sigma^2)
-    draw from the noise stream, taken in call order for exactly the samples
-    a call returns.  ``N``, ``n_i`` and ``n_o`` are the plant's trial
-    length and channel counts.  Single-owner mutable state (experiment
+    Experiments take and return channel-major arrays: inputs (n_i, N),
+    outputs (n_o, N); another input shape raises ValueError before it is
+    counted.  Only the disturbance and :meth:`true_cost`'s input are
+    :class:`Signal` objects.  Each measured sample carries its own
+    N(0, sigma^2) draw from the noise stream, taken in call order for exactly
+    the samples a call returns.  ``N``, ``n_i`` and ``n_o`` are the plant's
+    trial length and channel counts.  Single-owner mutable state (experiment
     counter plus noise stream); do not share one oracle between concurrent
     solver runs.
     """
@@ -57,9 +58,8 @@ class PlantOracle:
         if (disturbance.space, disturbance.N, disturbance.channels) != (
                 "output", self.N, self.n_o):
             raise ValueError("disturbance must be an output-space signal of the system")
-        self._input = ("input", self.N, self.n_i)
         self._system = system
-        self._r = disturbance.data
+        self._r = disturbance.data.reshape(self.n_o, self.N)
         self._sigma = noise.sigma if noise.active else 0.0
         self._rng = stream(noise.seed, NOISE_STREAM)
         self._count = 0
@@ -73,29 +73,32 @@ class PlantOracle:
             return data + self._sigma * self._rng.standard_normal(data.shape)
         return data
 
-    def _check_input(self, u: Signal):
-        if (u.space, u.N, u.channels) != self._input:
-            raise ValueError("signal is not an input of this plant")
+    @staticmethod
+    def _checked(x, shape: tuple[int, int], what: str) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.shape != shape:
+            raise ValueError(f"{what} must have shape {shape}, got {x.shape}")
+        return x
 
-    def run_trial(self, f: Signal) -> tuple[np.ndarray, float, float]:
+    def run_trial(self, f: np.ndarray) -> tuple[np.ndarray, float, float]:
         """Apply input f for one trial; measure e = r - (J f + noise).  One experiment.
 
         Returns e, its squared norm (the measured cost) and the noise-free cost
         ||r - J f||^2 of the same product: simulation bookkeeping that counts
         no experiment, and the measured cost bit for bit when noise-free.
         """
-        self._check_input(f)
+        f = self._checked(f, (self.n_i, self.N), "trial input")
         self._count += 1
-        Jf = self._system.product(f.data)
+        Jf = self._system.product(f)
         e = self._r - self._measure(Jf)
         d = self._r - Jf if self._sigma else e  # the noise-free error
-        return e, float(e.dot(e)), float(d.dot(d))
+        return e, float(np.vdot(e, e)), float(np.vdot(d, d))
 
-    def probe(self, u: Signal) -> np.ndarray:
+    def probe(self, u: np.ndarray) -> np.ndarray:
         """Dedicated experiment measuring J u + noise, without the disturbance."""
-        self._check_input(u)
+        u = self._checked(u, (self.n_i, self.N), "probe input")
         self._count += 1
-        return self._measure(self._system.product(u.data))
+        return self._measure(self._system.product(u))
 
     def probe_selectors(self, te: np.ndarray) -> np.ndarray:
         """The n_i*n_o selector experiments of the deterministic gradient.
@@ -105,15 +108,13 @@ class PlantOracle:
         ``R[l, m]`` is that reading, shape (n_i, n_o, N), with its own noise
         on each sample.  Counts n_i*n_o experiments.
         """
-        te = np.asarray(te, dtype=float)
-        if te.shape != (self.n_o, self.N):
-            raise ValueError(f"selector signals must have shape {(self.n_o, self.N)}, "
-                             f"got {te.shape}")
+        te = self._checked(te, (self.n_o, self.N), "selector signals")
         self._count += self.n_i * self.n_o
         return self._measure(self._system.selector_responses(te))
 
     def true_cost(self, f: Signal) -> float:
         """Noise-free cost ||r - J f||^2; analysis bookkeeping, not an experiment."""
-        self._check_input(f)
-        e = self._r - self._system.product(f.data)
-        return float(e.dot(e))
+        if (f.space, f.N, f.channels) != ("input", self.N, self.n_i):
+            raise ValueError("signal is not an input of this plant")
+        e = self._r - self._system.product(f.data.reshape(self.n_i, self.N))
+        return float(np.vdot(e, e))

@@ -13,13 +13,12 @@ p regardless of how p was produced.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .gradients import deterministic_gradient, stochastic_gradient
-from .lifted import LiftedSystem, Signal
+from .lifted import LiftedSystem, Signal, check_integer
 from .oracle import PlantOracle
 from .rng import MASK_STREAM, stream
 
@@ -32,13 +31,6 @@ COST_TOL = 1e-16  # stop once the true cost falls below this share of the first
 
 class DegenerateDirectionError(ZeroDivisionError):
     """Search direction maps to (numerically) nothing through the plant."""
-
-
-def check_integer(name: str, value) -> int:
-    """``value`` if it is an integer (a bool is not); otherwise a ValueError naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -113,7 +105,7 @@ def conjugation_coefficient(Jp_prev: np.ndarray, Jg_new: np.ndarray,
     """
     if Jp_prev_sq <= 0.0:
         raise DegenerateDirectionError("||J p_prev||^2 vanishes")
-    return -float(Jp_prev.dot(Jg_new)) / Jp_prev_sq
+    return -float(np.vdot(Jp_prev, Jg_new)) / Jp_prev_sq
 
 
 def fletcher_reeves_coefficient(g_new_sq: float, g_old_sq: float) -> float:
@@ -130,7 +122,7 @@ def optimal_step(e: np.ndarray, Jp: np.ndarray, Jp_sq: float) -> float:
     """
     if Jp_sq <= 0.0:
         raise DegenerateDirectionError("||J p||^2 vanishes")
-    return float(e.dot(Jp)) / Jp_sq
+    return float(np.vdot(e, Jp)) / Jp_sq
 
 
 def _over_budget(oracle: PlantOracle, budget: int | None, planned: int, j: int) -> bool:
@@ -151,8 +143,8 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
 
     Each iteration plans its experiments once (trial, gradient, ``probe_Jg``,
     ``line_search``); the budget check and the loop body read the same plan.
-    The body works on the measured arrays and wraps a value in a
-    :class:`Signal` only where it goes to the oracle.  Each squared norm is
+    f, p and g are the oracle's (n_i, N) arrays, used as they are; a run's
+    one :class:`Signal` is ``RunTrace.final_input``.  Each squared norm is
     computed once and handed to :func:`conjugation_coefficient`,
     :func:`fletcher_reeves_coefficient` and :func:`optimal_step`.
     """
@@ -167,8 +159,8 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
 
     trace = RunTrace(config=cfg, stop_reason="max_iterations")
     records = trace.records
-    f = Signal.zeros("input", N, n_i)
-    p: Signal | None = None
+    f = np.zeros((n_i, N))
+    p: np.ndarray | None = None
     p_sq = 0.0  # ||p||^2 of the current direction
     Jp_prev: np.ndarray | None = None  # measured J p of the last line search
     Jp_prev_sq = 0.0
@@ -212,13 +204,13 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
             g = stochastic_gradient(oracle, e, rng=mask_rng)
         else:
             g = deterministic_gradient(oracle, e)
-        g_sq = g.norm_sq() if probe_Jg or fletcher_reeves else None
+        g_sq = float(np.vdot(g, g)) if probe_Jg or fletcher_reeves else None
 
         tau: float | None = None
         reset_flag = False
         if probe_Jg:
             Jg = oracle.probe(g)
-            Jg_sq = float(Jg.dot(Jg))
+            Jg_sq = float(np.vdot(Jg, Jg))
             observe(g_sq, Jg_sq)
             if not degenerate(p_sq, Jp_prev_sq):
                 tau = conjugation_coefficient(Jp_prev, Jg, Jp_prev_sq)
@@ -226,7 +218,7 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
             if g_prev_sq > 0.0:
                 tau = fletcher_reeves_coefficient(g_sq, g_prev_sq)
         if tau is not None:
-            p = Signal(g.data + p.data * tau, "input", N, n_i)
+            p = g + p * tau
         else:
             p = g
             reset_flag = is_cg and j > 1  # a scheduled or a degenerate reset to the gradient
@@ -234,7 +226,7 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
         eps: float | None
         if line_search:
             Jp = oracle.probe(p)
-            p_sq, Jp_sq = p.norm_sq(), float(Jp.dot(Jp))
+            p_sq, Jp_sq = float(np.vdot(p, p)), float(np.vdot(Jp, Jp))
             observe(p_sq, Jp_sq)
             if probe_Jg and tau is not None and degenerate(p_sq, Jp_sq):
                 # the conjugated direction maps to nothing: step along g, whose J g is measured
@@ -253,12 +245,12 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
             # descend along the (uphill) gradient direction
             eps = -decay_a / float(j) ** cfg.decay_gamma
 
-        f = Signal(f.data + p.data * eps, "input", N, n_i)
+        f = f + p * eps
         g_prev_sq = g_sq
         records.append(IterationRecord(
             j, experiments_at_trial, cost_measured, cost_true, eps, tau, reset_flag))
 
-    trace.final_input = f
+    trace.final_input = Signal(f, "input", N, n_i)
     return trace
 
 
@@ -272,18 +264,18 @@ def _run_norm_optimal(oracle: PlantOracle, cfg: SolverConfig, system: LiftedSyst
     """
     _over_budget(oracle, budget, planned=2, j=1)
     trace = RunTrace(config=cfg, stop_reason="completed")
-    f1 = Signal.zeros("input", oracle.N, oracle.n_i)
+    f1 = np.zeros((oracle.n_i, oracle.N))
     e1, cost1, cost1_true = oracle.run_trial(f1)
     trace.records.append(IterationRecord(
         1, oracle.snapshot_count(), cost1, cost1_true, 1.0, None, False))
-    delta, _, rank, _ = np.linalg.lstsq(system.matrix, e1, rcond=1e-12)
+    delta, _, rank, _ = np.linalg.lstsq(system.matrix, e1.reshape(-1), rcond=1e-12)
     if rank < system.matrix.shape[1]:
         trace.notes = f"rank-deficient model (rank {rank}); pseudo-inverse update"
-    f2 = Signal(f1.data + delta, "input", oracle.N, oracle.n_i)
+    f2 = f1 + delta.reshape(f1.shape)
     _, cost2, cost2_true = oracle.run_trial(f2)
     trace.records.append(IterationRecord(
         2, oracle.snapshot_count(), cost2, cost2_true, None, None, False))
-    trace.final_input = f2
+    trace.final_input = Signal(f2, "input", oracle.N, oracle.n_i)
     return trace
 
 

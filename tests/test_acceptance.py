@@ -131,12 +131,12 @@ class TestCriterion2ExactUnbiasedness:
             if pairs > 6:
                 continue
             r = make_step_disturbance(J.N, J.n_o, 1.0)
-            e = Signal(rng.standard_normal(J.N * J.n_o), "output", J.N, J.n_o)
-            det = deterministic_gradient(PlantOracle(J, r), e.data).data
-            acc = np.zeros(J.N * J.n_i)
+            e = rng.standard_normal((J.n_o, J.N))
+            det = deterministic_gradient(PlantOracle(J, r), e)
+            acc = np.zeros((J.n_i, J.N))
             count = 0
             for mask in every_mask(J.n_i, J.n_o):
-                acc += stochastic_gradient(PlantOracle(J, r), e.data, mask).data
+                acc += stochastic_gradient(PlantOracle(J, r), e, mask)
                 count += 1
             assert count == 2 ** pairs
             assert _rel_err(acc / count, det) < 1e-12
@@ -157,11 +157,11 @@ class TestCriterion3LineSearch:
             p = rng.standard_normal(J.N * J.n_i)
             if np.linalg.norm(p) == 0:
                 continue
-            e = Signal(r - J.matrix @ f, "output", J.N, J.n_o)
-            Jp = apply(J, Signal(p, "input", J.N, J.n_i))
-            if Jp.norm_sq() == 0.0:
+            e = r - J.matrix @ f
+            Jp = J.matrix @ p
+            if Jp @ Jp == 0.0:
                 continue
-            eps = optimal_step(e.data, Jp.data, Jp.norm_sq())
+            eps = optimal_step(e, Jp, Jp @ Jp)
 
             def cost(step):
                 res = r - J.matrix @ (f + step * p)
@@ -308,7 +308,7 @@ class _LineSearchRecorder(PlantOracle):
         self.directions = []
 
     def probe(self, u):
-        self.directions.append(u.data)
+        self.directions.append(u.reshape(-1))
         return super().probe(u)
 
 

@@ -109,7 +109,10 @@ class TestSpecParsing:
         ("spec", "disturbance", {"kind": "ramp"}, "unknown disturbance kind 'ramp'"),
         ("spec", "budget", None, "missing spec field: 'budget'"),
         ("spec", "solvers", None, "missing spec field: 'solvers'"),
-    ], ids=["empty_seeds", "no_system_source", "disturbance_kind", "no_budget", "no_solvers"])
+        ("spec", "disturbance", "step", "disturbance must be a JSON object"),
+        ("spec", "noise", [1], "noise must be a JSON object"),
+    ], ids=["empty_seeds", "no_system_source", "disturbance_kind", "no_budget", "no_solvers",
+            "disturbance_string", "noise_list"])
     def test_malformed_spec_is_usage_error(self, section, field, value, match):
         doc = tiny_spec_doc()
         if value is None:
@@ -350,6 +353,27 @@ class TestCli:
         assert self.run_doc(tmp_path, doc) == 2
         assert f"system file lacks field '{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [("N", 5.9), ("N", True), ("n_i", 2.0)])
+    def test_system_file_with_a_non_integer_count_is_usage_error(self, tmp_path, capsys,
+                                                                field, value):
+        sys_path = tmp_path / "sys.json"
+        save_system(sys_path, generate_system(3, 2, 2, seed=9), N=5)
+        sys_doc = json.loads(sys_path.read_text())
+        sys_doc[field] = value
+        sys_path.write_text(json.dumps(sys_doc))
+        doc = tiny_spec_doc()
+        doc["system"] = {"load": str(sys_path)}
+        assert self.run_doc(tmp_path, doc) == 2
+        assert f"{field} must be an integer, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [("N", 6.5), ("channels", True)])
+    def test_disturbance_file_with_a_non_integer_count_is_usage_error(self, tmp_path, capsys,
+                                                                     field, value):
+        dist = {"N": 6, "channels": 2, "data": [0.5] * 12}
+        dist[field] = value
+        assert self.run_doc(tmp_path, self.custom_disturbance_doc(tmp_path, dist)) == 2
+        assert f"{field} must be an integer, got {value!r}" in capsys.readouterr().err
+
     def test_non_finite_custom_disturbance_is_usage_error(self, tmp_path, capsys):
         doc = self.custom_disturbance_doc(tmp_path, {"N": 6, "channels": 2,
                                                      "data": [float("nan")] + [0.5] * 11})
@@ -359,10 +383,13 @@ class TestCli:
     @pytest.mark.parametrize("section,field,value", [
         ("solver", "max_iterations", 2.5), ("solver", "max_iterations", True),
         ("solver", "reset_period", 1.5), ("solver", "seed", 1.5),
-        ("spec", "budget", 200.7), ("spec", "seeds", [0.5]), ("noise", "seed", 0.5)])
+        ("spec", "budget", 200.7), ("spec", "seeds", [0.5]), ("noise", "seed", 0.5),
+        ("generate", "seed", 1.5), ("generate", "seed", False), ("generate", "N", 5.9),
+        ("generate", "n_i", True), ("generate", "n_x", 3.0)])
     def test_non_integer_count_or_seed_exits_2(self, tmp_path, capsys, section, field, value):
         doc = tiny_spec_doc()
-        target = {"solver": doc["solvers"][0], "spec": doc, "noise": doc["noise"]}[section]
+        target = {"solver": doc["solvers"][0], "spec": doc, "noise": doc["noise"],
+                  "generate": doc["system"]["generate"]}[section]
         target[field] = value
         assert self.run_doc(tmp_path, doc) == 2
         assert "must be an integer" in capsys.readouterr().err

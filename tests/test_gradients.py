@@ -21,7 +21,8 @@ def oracle_for(J, amplitude=1.0, noise=NoiseModel()):
 
 
 def exact_gradient(J, e):
-    return -2.0 * adjoint_apply(J, e).data
+    """-2 J^T e of an (n_o, N) error array, as an (n_i, N) array."""
+    return -2.0 * adjoint_apply(J, Signal(e, "output", J.N, J.n_o)).data.reshape(J.n_i, J.N)
 
 
 class TestMask:
@@ -63,44 +64,43 @@ class TestExpandMask:
 class TestStochasticGradient:
     def test_siso_exact_for_both_signs(self, rng):
         _, J = small_system(seed=6, n_i=1, n_o=1, N=9)
-        e = Signal(rng.standard_normal(9), "output", 9, 1)
+        e = rng.standard_normal((1, 9))
         expected = exact_gradient(J, e)
         for bit in (0, 1):  # masks [[-1]] and [[+1]]
             oracle = oracle_for(J)
-            est = stochastic_gradient(oracle, e.data, FixedBits([[bit]]))
-            assert rel_err(est.data, expected) < 1e-13
+            est = stochastic_gradient(oracle, e, FixedBits([[bit]]))
+            assert rel_err(est, expected) < 1e-13
             assert oracle.snapshot_count() == 1
 
     def test_zero_error_gives_zero(self, rng):
         _, J = small_system(seed=3)
-        e = Signal.zeros("output", J.N, J.n_o)
-        est = stochastic_gradient(oracle_for(J), e.data, rng=rng)
-        assert np.array_equal(est.data, np.zeros(J.N * J.n_i))
+        e = np.zeros((J.n_o, J.N))
+        est = stochastic_gradient(oracle_for(J), e, rng=rng)
+        assert np.array_equal(est, np.zeros((J.n_i, J.N)))
 
     def test_exhaustive_mean_is_unbiased_2x2(self, rng):
         _, J = small_system(seed=8, n_i=2, n_o=2, N=6)
-        e = Signal(rng.standard_normal(J.N * J.n_o), "output", J.N, J.n_o)
-        acc = np.zeros(J.N * J.n_i)
+        e = rng.standard_normal((J.n_o, J.N))
+        acc = np.zeros((J.n_i, J.N))
         masks = list(every_mask(2, 2))
         assert len(masks) == 16
         for mask in masks:
-            acc += stochastic_gradient(oracle_for(J), e.data, mask).data
+            acc += stochastic_gradient(oracle_for(J), e, mask)
         assert rel_err(acc / len(masks), exact_gradient(J, e)) < 1e-12
 
     def test_scaling_equivariance(self, rng):
         _, J = small_system(seed=4, n_i=2, n_o=3, N=5)
         mask = FixedBits(rng.integers(0, 2, (2, 3)))
-        e = Signal(rng.standard_normal(J.N * J.n_o), "output", J.N, J.n_o)
-        e_scaled = Signal(2.5 * e.data, "output", J.N, J.n_o)
-        g1 = stochastic_gradient(oracle_for(J), e.data, mask).data
-        g2 = stochastic_gradient(oracle_for(J), e_scaled.data, mask).data
+        e = rng.standard_normal((J.n_o, J.N))
+        g1 = stochastic_gradient(oracle_for(J), e, mask)
+        g2 = stochastic_gradient(oracle_for(J), 2.5 * e, mask)
         assert rel_err(g2, 2.5 * g1) < 1e-13
 
     def test_uses_one_experiment(self, rng):
         _, J = small_system(seed=4)
         oracle = oracle_for(J)
-        e = Signal(rng.standard_normal(J.N * J.n_o), "output", J.N, J.n_o)
-        stochastic_gradient(oracle, e.data, rng=rng)
+        e = rng.standard_normal((J.n_o, J.N))
+        stochastic_gradient(oracle, e, rng=rng)
         assert oracle.snapshot_count() == 1
 
 
@@ -108,32 +108,32 @@ class TestDeterministicGradient:
     def test_equals_adjoint_gradient(self, rng):
         _, J = small_system(seed=2, n_i=2, n_o=3, N=6)
         oracle = oracle_for(J)
-        e = Signal(rng.standard_normal(J.N * J.n_o), "output", J.N, J.n_o)
-        est = deterministic_gradient(oracle, e.data)
-        assert rel_err(est.data, exact_gradient(J, e)) < 1e-12
+        e = rng.standard_normal((J.n_o, J.N))
+        est = deterministic_gradient(oracle, e)
+        assert rel_err(est, exact_gradient(J, e)) < 1e-12
         assert oracle.snapshot_count() == 6
 
     def test_zero_error_gives_zero(self):
         _, J = small_system(seed=3)
-        e = Signal.zeros("output", J.N, J.n_o)
-        est = deterministic_gradient(oracle_for(J), e.data)
-        assert np.array_equal(est.data, np.zeros(J.N * J.n_i))
+        e = np.zeros((J.n_o, J.N))
+        est = deterministic_gradient(oracle_for(J), e)
+        assert np.array_equal(est, np.zeros((J.n_i, J.N)))
 
     def test_siso_coincides_with_stochastic(self, rng):
         _, J = small_system(seed=6, n_i=1, n_o=1, N=7)
-        e = Signal(rng.standard_normal(7), "output", 7, 1)
+        e = rng.standard_normal((1, 7))
         det_oracle, sto_oracle = oracle_for(J), oracle_for(J)
-        det = deterministic_gradient(det_oracle, e.data)
-        sto = stochastic_gradient(sto_oracle, e.data, FixedBits([[1]]))
+        det = deterministic_gradient(det_oracle, e)
+        sto = stochastic_gradient(sto_oracle, e, FixedBits([[1]]))
         assert det_oracle.snapshot_count() == sto_oracle.snapshot_count() == 1
-        assert rel_err(det.data, sto.data) < 1e-14
+        assert rel_err(det, sto) < 1e-14
 
     def test_benchmark_channel_count_uses_441_experiments(self, rng):
         ss = generate_system(84, 21, 21, seed=0)
         J = lift(ss, N=3)  # short trial: the experiment count is what matters
         oracle = oracle_for(J)
-        e = Signal(rng.standard_normal(J.N * J.n_o), "output", J.N, J.n_o)
-        deterministic_gradient(oracle, e.data)
+        e = rng.standard_normal((J.n_o, J.N))
+        deterministic_gradient(oracle, e)
         assert oracle.snapshot_count() == 441
 
 
@@ -142,11 +142,11 @@ class TestUnbiasednessSweep:
         # every layout with n_i*n_o <= 6: brute-force mean over all masks
         for n_i, n_o in ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (1, 6), (6, 1)):
             _, J = small_system(seed=10 + n_i + 10 * n_o, n_x=3, n_i=n_i, n_o=n_o, N=4)
-            e = Signal(rng.standard_normal(J.N * J.n_o), "output", J.N, J.n_o)
-            acc = np.zeros(J.N * J.n_i)
+            e = rng.standard_normal((J.n_o, J.N))
+            acc = np.zeros((J.n_i, J.N))
             count = 0
             for mask in every_mask(n_i, n_o):
-                acc += stochastic_gradient(oracle_for(J), e.data, mask).data
+                acc += stochastic_gradient(oracle_for(J), e, mask)
                 count += 1
             assert count == 2 ** (n_i * n_o)
             assert rel_err(acc / count, exact_gradient(J, e)) < 1e-12
@@ -156,15 +156,14 @@ class TestUnbiasednessSweep:
         ss = generate_system(84, 21, 21, seed=1)
         J = lift(ss, N=5)
         rng = np.random.default_rng(2024)
-        e = Signal(np.random.default_rng(5).standard_normal(J.N * J.n_o),
-                   "output", J.N, J.n_o)
+        e = np.random.default_rng(5).standard_normal((J.n_o, J.N))
         exact = exact_gradient(J, e)
         n_draws = 20_000
-        acc = np.zeros(J.N * J.n_i)
-        acc_sq = np.zeros(J.N * J.n_i)
+        acc = np.zeros((J.n_i, J.N))
+        acc_sq = np.zeros((J.n_i, J.N))
         oracle = oracle_for(J)
         for _ in range(n_draws):
-            g = stochastic_gradient(oracle, e.data, rng=rng).data
+            g = stochastic_gradient(oracle, e, rng=rng)
             acc += g
             acc_sq += g * g
         mean = acc / n_draws

@@ -144,7 +144,7 @@ class TestLiftedSystem:
         assert (J.N, J.n_o, J.n_i) == (5, 3, 2)
         assert J.matrix.shape == (15, 10)
 
-    @pytest.mark.parametrize("shape", [(4, 4), (0, 2, 2)])
+    @pytest.mark.parametrize("shape", [(4, 4), (0, 2, 2), (4, 0, 2), (4, 2, 0)])
     def test_rejects_malformed_arrays(self, shape):
         with pytest.raises(ValueError, match="shape"):
             LiftedSystem(np.zeros(shape))
@@ -176,7 +176,7 @@ class TestLiftedSystem:
 class TestApply:
     def test_zero_input_zero_output(self):
         _, J = small_system()
-        y = apply(J, Signal.zeros("input", J.N, J.n_i))
+        y = apply(J, Signal(np.zeros(J.N * J.n_i), "input", J.N, J.n_i))
         assert np.array_equal(y.data, np.zeros(J.N * J.n_o))
 
     def test_static_gain_scales(self, rng):
@@ -202,9 +202,9 @@ class TestApply:
     def test_dimension_mismatch(self):
         _, J = small_system()
         with pytest.raises(ValueError):
-            apply(J, Signal.zeros("input", J.N + 1, J.n_i))
+            apply(J, Signal(np.zeros((J.N + 1) * J.n_i), "input", J.N + 1, J.n_i))
         with pytest.raises(ValueError):
-            apply(J, Signal.zeros("output", J.N, J.n_o))
+            apply(J, Signal(np.zeros(J.N * J.n_o), "output", J.N, J.n_o))
 
 
 class TestTimeReversal:
@@ -272,7 +272,7 @@ class TestAdjoint:
     def test_dimension_mismatch(self):
         _, J = small_system()
         with pytest.raises(ValueError):
-            adjoint_apply(J, Signal.zeros("input", J.N, J.n_i))
+            adjoint_apply(J, Signal(np.zeros(J.N * J.n_i), "input", J.N, J.n_i))
 
 
 class TestSerialization:

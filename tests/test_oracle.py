@@ -33,43 +33,56 @@ class TestNoiseModel:
         assert NoiseModel(kind="gaussian", sigma=0.1).active
 
 
+def zero_input(J):
+    return np.zeros((J.n_i, J.N))
+
+
+def wrong_inputs(J):
+    """Arrays that are not an (n_i, N) input of J: transposed, flat, another N, output-shaped."""
+    return [np.zeros((J.N, J.n_i)), np.zeros(J.n_i * J.N),
+            np.zeros((J.n_i, J.N + 1)), np.zeros((J.n_o, J.N))]
+
+
 class TestRunTrial:
     def test_zero_input_measures_disturbance(self):
         J, oracle = make_oracle()
-        e, cost, _ = oracle.run_trial(Signal.zeros("input", J.N, J.n_i))
-        r = make_step_disturbance(J.N, J.n_o, 1.0)
-        assert np.array_equal(e, r.data)
-        assert cost == pytest.approx(r.norm_sq(), rel=0, abs=0)
+        e, cost, _ = oracle.run_trial(zero_input(J))
+        r = make_step_disturbance(J.N, J.n_o, 1.0).data
+        assert np.array_equal(e, r.reshape(J.n_o, J.N))
+        assert cost == pytest.approx(r @ r, rel=0, abs=0)
 
     def test_exact_minimizer_zeroes_cost(self):
         # seed 1 gives a well-conditioned J; near-singular draws cannot hit 1e-18
         J, oracle = make_oracle(seed=1)
         r = make_step_disturbance(J.N, J.n_o, 1.0)
         f_star = np.linalg.solve(J.matrix, r.data)
-        _, cost, _ = oracle.run_trial(Signal(f_star, "input", J.N, J.n_i))
-        assert cost <= 1e-18 * r.norm_sq()
+        _, cost, _ = oracle.run_trial(f_star.reshape(J.n_i, J.N))
+        assert cost <= 1e-18 * (r.data @ r.data)
 
     def test_gaussian_noise_statistics(self):
         sigma = 0.1
         J, oracle = make_oracle(n_i=1, n_o=1, N=4,
                                 noise=NoiseModel("gaussian", sigma, seed=3))
-        f0 = Signal.zeros("input", J.N, J.n_i)
+        f0 = zero_input(J)
         errors = np.stack([oracle.run_trial(f0)[0] for _ in range(10_000)])
-        r = make_step_disturbance(J.N, J.n_o, 1.0).data
+        r = make_step_disturbance(J.N, J.n_o, 1.0).data.reshape(J.n_o, J.N)
         assert np.abs(errors.mean(axis=0) - r).max() < 5e-3
         var = errors.var(axis=0).mean()
         assert abs(var - sigma**2) < 0.05 * sigma**2
 
     def test_dimension_mismatch(self):
-        J, oracle = make_oracle()
-        with pytest.raises(ValueError):
-            oracle.run_trial(Signal.zeros("input", J.N + 1, J.n_i))
+        J, oracle = make_oracle(n_i=3, n_o=2)
+        for f in wrong_inputs(J):
+            with pytest.raises(ValueError, match="shape"):
+                oracle.run_trial(f)
+            assert oracle.snapshot_count() == 0
 
     @pytest.mark.parametrize("space,dN,d_channels", [
         ("input", 0, 0), ("output", 1, 0), ("output", 0, 1)])
     def test_rejects_a_disturbance_that_does_not_fit_the_plant(self, space, dN, d_channels):
         J, _ = make_oracle()
-        r = Signal.zeros(space, J.N + dN, J.n_o + d_channels)
+        r = Signal(np.zeros((J.N + dN) * (J.n_o + d_channels)), space,
+                   J.N + dN, J.n_o + d_channels)
         with pytest.raises(ValueError, match="disturbance"):
             PlantOracle(J, r)
 
@@ -77,20 +90,29 @@ class TestRunTrial:
 class TestProbe:
     def test_zero_input(self):
         J, oracle = make_oracle()
-        w = oracle.probe(Signal.zeros("input", J.N, J.n_i))
-        assert np.array_equal(w, np.zeros(J.N * J.n_o))
+        w = oracle.probe(zero_input(J))
+        assert np.array_equal(w, np.zeros((J.n_o, J.N)))
+
+    def test_dimension_mismatch(self):
+        J, oracle = make_oracle(n_i=3, n_o=2)
+        for u in wrong_inputs(J):
+            with pytest.raises(ValueError, match="shape"):
+                oracle.probe(u)
+            assert oracle.snapshot_count() == 0
 
     def test_matches_apply_without_noise(self, rng):
         J, oracle = make_oracle(seed=2)
         u = Signal(rng.standard_normal(J.N * J.n_i), "input", J.N, J.n_i)
-        assert np.array_equal(oracle.probe(u), apply(J, u).data)
+        w = oracle.probe(u.data.reshape(J.n_i, J.N))
+        assert np.array_equal(w.reshape(-1), apply(J, u).data)
 
     def test_noise_is_unbiased(self, rng):
         J, oracle = make_oracle(n_i=1, n_o=1, N=4,
                                 noise=NoiseModel("gaussian", 0.2, seed=9))
         u = Signal(rng.standard_normal(4), "input", 4, 1)
-        exact = apply(J, u).data
-        mean = np.mean([oracle.probe(u) - exact for _ in range(20_000)], axis=0)
+        exact = apply(J, u).data.reshape(1, 4)
+        mean = np.mean([oracle.probe(u.data.reshape(1, 4)) - exact for _ in range(20_000)],
+                       axis=0)
         assert np.abs(mean).max() < 0.005
 
     def test_probe_selectors_draw_one_noise_value_per_reading(self, rng):
@@ -107,8 +129,9 @@ class TestProbe:
         # the stream advanced by exactly one normal per reading
         skipped = stream(seed, NOISE_STREAM)
         skipped.standard_normal(noise.size)
-        zero = Signal.zeros("input", J.N, J.n_i)  # its measurement is the next noise draw
-        assert np.array_equal(noisy.probe(zero), sigma * skipped.standard_normal(J.N * J.n_o))
+        # the measurement of a zero input is the next noise draw
+        assert np.array_equal(noisy.probe(zero_input(J)),
+                              sigma * skipped.standard_normal((J.n_o, J.N)))
 
     def test_probe_selectors_rejects_a_wrong_shape(self):
         J, oracle = make_oracle()
@@ -125,12 +148,12 @@ class TestCounting:
 
     def test_single_trial(self):
         J, oracle = make_oracle()
-        oracle.run_trial(Signal.zeros("input", J.N, J.n_i))
+        oracle.run_trial(zero_input(J))
         assert oracle.snapshot_count() == 1
 
     def test_mixed_calls(self):
         J, oracle = make_oracle()
-        f0 = Signal.zeros("input", J.N, J.n_i)
+        f0 = zero_input(J)
         oracle.run_trial(f0)
         oracle.probe(f0)
         oracle.probe(f0)
@@ -143,10 +166,10 @@ class TestCounting:
 
     def test_true_cost_not_counted(self):
         J, oracle = make_oracle()
-        f0 = Signal.zeros("input", J.N, J.n_i)
-        c = oracle.true_cost(f0)
+        c = oracle.true_cost(Signal(np.zeros(J.N * J.n_i), "input", J.N, J.n_i))
         assert oracle.snapshot_count() == 0
-        assert c == pytest.approx(make_step_disturbance(J.N, J.n_o, 1.0).norm_sq())
+        r = make_step_disturbance(J.N, J.n_o, 1.0).data
+        assert c == pytest.approx(r @ r)
 
     def test_true_cost_after_the_caller_writes_the_input_array(self, rng):
         # the signal holds its own copy, so writing the caller's array after the
@@ -154,7 +177,7 @@ class TestCounting:
         J, oracle = make_oracle(seed=2)
         a = rng.standard_normal(J.N * J.n_i)
         f = Signal(a, "input", J.N, J.n_i)
-        _, cost, cost_true = oracle.run_trial(f)
+        _, cost, cost_true = oracle.run_trial(f.data.reshape(J.n_i, J.N))
         a[:] = 3.0 * rng.standard_normal(a.size)
         _, fresh = make_oracle(seed=2)
         recomputed = fresh.true_cost(Signal(f.data, "input", J.N, J.n_i))

@@ -18,7 +18,6 @@ from cgilc.gradients import _signs
 from cgilc.rng import MASK_STREAM, combine, stream
 from cgilc.solvers import DegenerateDirectionError
 from conftest import rel_err, small_system
-from reference import adjoint_apply, apply
 
 
 def fresh_oracle(J, noise=NoiseModel(), amplitude=1.0):
@@ -32,53 +31,49 @@ def cost_of(J, r, f):
 
 class TestCoefficients:
     def test_conjugation_zero_when_orthogonal(self):
-        a = Signal([1.0, 0.0], "output", 1, 2)
-        b = Signal([0.0, 3.0], "output", 1, 2)
-        assert conjugation_coefficient(a.data, b.data, a.norm_sq()) == 0.0
+        a, b = np.array([[1.0], [0.0]]), np.array([[0.0], [3.0]])
+        assert conjugation_coefficient(a, b, 1.0) == 0.0
 
     def test_conjugation_minus_one_when_equal(self, rng):
-        v = Signal(rng.standard_normal(6), "output", 3, 2)
-        tau = conjugation_coefficient(v.data, v.data, v.norm_sq())
+        v = rng.standard_normal((2, 3))
+        tau = conjugation_coefficient(v, v, np.vdot(v, v))
         assert tau == pytest.approx(-1.0, rel=1e-15)
 
     def test_constructed_direction_is_conjugate(self, rng):
         _, J = small_system(seed=1, n_i=2, n_o=2, N=6)
         for _ in range(20):
-            p_prev = Signal(rng.standard_normal(J.N * J.n_i), "input", J.N, J.n_i)
-            g_new = Signal(rng.standard_normal(J.N * J.n_i), "input", J.N, J.n_i)
-            Jp = apply(J, p_prev)
-            Jg = apply(J, g_new)
-            tau = conjugation_coefficient(Jp.data, Jg.data, Jp.norm_sq())
-            p_new = Signal(g_new.data + tau * p_prev.data, "input", J.N, J.n_i)
-            Jp_new = apply(J, p_new)
-            bound = 1e-10 * np.sqrt(Jp.norm_sq() * Jp_new.norm_sq())
-            assert abs(Jp.data.dot(Jp_new.data)) <= max(bound, 1e-300)
+            p_prev = rng.standard_normal(J.N * J.n_i)
+            g_new = rng.standard_normal(J.N * J.n_i)
+            Jp = J.matrix @ p_prev
+            Jg = J.matrix @ g_new
+            tau = conjugation_coefficient(Jp, Jg, Jp @ Jp)
+            Jp_new = J.matrix @ (g_new + tau * p_prev)
+            bound = 1e-10 * np.sqrt((Jp @ Jp) * (Jp_new @ Jp_new))
+            assert abs(Jp @ Jp_new) <= max(bound, 1e-300)
 
     def test_conjugation_degenerate_denominator(self):
-        z = Signal.zeros("output", 2, 1)
+        z = np.zeros((1, 2))
         with pytest.raises(DegenerateDirectionError):
-            conjugation_coefficient(z.data, z.data, z.norm_sq())
+            conjugation_coefficient(z, z, 0.0)
 
     def test_fletcher_reeves_identity_and_zero(self, rng):
-        g = Signal(rng.standard_normal(8), "input", 4, 2)
-        g_sq = g.norm_sq()
+        g = rng.standard_normal(8)
+        g_sq = g @ g
         assert fletcher_reeves_coefficient(g_sq, g_sq) == pytest.approx(1.0, rel=1e-15)
-        zero = Signal.zeros("input", 4, 2)
-        assert fletcher_reeves_coefficient(zero.norm_sq(), g_sq) == 0.0
+        assert fletcher_reeves_coefficient(0.0, g_sq) == 0.0
         with pytest.raises(DegenerateDirectionError):
-            fletcher_reeves_coefficient(g_sq, zero.norm_sq())
+            fletcher_reeves_coefficient(g_sq, 0.0)
 
 
 class TestOptimalStep:
     def test_unit_step_when_direction_matches_error(self, rng):
-        e = Signal(rng.standard_normal(6), "output", 3, 2)
-        eps = optimal_step(e.data, e.data, e.norm_sq())
+        e = rng.standard_normal((2, 3))
+        eps = optimal_step(e, e, np.vdot(e, e))
         assert eps == pytest.approx(1.0, rel=1e-15)
 
     def test_zero_when_orthogonal(self):
-        e = Signal([1.0, 0.0], "output", 1, 2)
-        Jp = Signal([0.0, 2.0], "output", 1, 2)
-        assert optimal_step(e.data, Jp.data, Jp.norm_sq()) == 0.0
+        e, Jp = np.array([[1.0], [0.0]]), np.array([[0.0], [2.0]])
+        assert optimal_step(e, Jp, 4.0) == 0.0
 
     @pytest.mark.parametrize("Jp_sq", [0.0, -1.0])
     def test_degenerate_denominator(self, Jp_sq):
@@ -91,9 +86,9 @@ class TestOptimalStep:
         for _ in range(25):
             f = rng.standard_normal(J.N * J.n_i)
             p = rng.standard_normal(J.N * J.n_i)
-            e = Signal(r - J.matrix @ f, "output", J.N, J.n_o)
-            Jp = apply(J, Signal(p, "input", J.N, J.n_i))
-            eps = optimal_step(e.data, Jp.data, Jp.norm_sq())
+            e = r - J.matrix @ f
+            Jp = J.matrix @ p
+            eps = optimal_step(e, Jp, Jp @ Jp)
             best = cost_of(J, r, f + eps * p)
             delta = 1e-3 / np.linalg.norm(p)
             assert best <= cost_of(J, r, f + (eps + delta) * p) + 1e-12
@@ -576,3 +571,19 @@ class TestOracleContract:
         single = (estimator or ("full" if kind.startswith("det") else "single")) == "single"
         assert (oracle.calls["probe_selectors"] > 0) != single
         assert isinstance(trace.final_input, Signal)
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("kind", ["stoch_cg", "det_cg", "stoch_gd", "det_gd"])
+    def test_the_loop_builds_one_signal(self, monkeypatch, kind, noisy):
+        """Experiments pass plain arrays; the one Signal of a run is its final input."""
+        _, J = small_system(seed=1, n_x=3, n_i=2, n_o=3, N=5)
+        noise = NoiseModel("gaussian", 0.05, seed=4) if noisy else NoiseModel()
+        oracle = PlantOracle(J, make_step_disturbance(J.N, J.n_o, 1.0), noise)
+        built = []
+        init = Signal.__init__
+        monkeypatch.setattr(Signal, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
+        trace = run_solver(oracle, SolverConfig(kind, max_iterations=8, reset_period=3,
+                                                seed=5))
+        assert len(trace.records) > 3
+        assert len(built) == 1

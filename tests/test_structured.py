@@ -59,8 +59,8 @@ def check_products(system, rng):
     N, n_i, n_o = system.N, system.n_i, system.n_o
     X = rng.standard_normal((N * n_i, 8))
     for x in X.T:
-        ref = apply(system, Signal(x, "input", N, n_i)).data
-        y = system.product(x)
+        ref = apply(system, Signal(x, "input", N, n_i)).data.reshape(n_o, N)
+        y = system.product(x.reshape(n_i, N))
         assert y.shape == ref.shape
         assert rel_err(y, ref) <= TOL
     te = rng.standard_normal((n_o, N))
@@ -73,9 +73,10 @@ def check_products(system, rng):
             ref = apply(system, Signal(u.reshape(-1), "input", N, n_i)).data.reshape(n_o, N)[m]
             assert rel_err(R[l, m], ref) <= TOL
     oracle = PlantOracle(system, make_step_disturbance(N, n_o))
-    e = Signal(rng.standard_normal(N * n_o), "output", N, n_o)
-    g = deterministic_gradient(oracle, e.data).data
-    assert rel_err(g, -2.0 * adjoint_apply(system, e).data) <= TOL
+    e = rng.standard_normal((n_o, N))
+    g = deterministic_gradient(oracle, e)
+    exact = -2.0 * adjoint_apply(system, Signal(e, "output", N, n_o)).data
+    assert rel_err(g, exact.reshape(n_i, N)) <= TOL
     assert oracle.snapshot_count() == n_i * n_o
 
 
@@ -86,7 +87,7 @@ def test_structured_matches_dense(structured, rng, name):
 
 def test_zero_plant_gives_exact_zeros(structured, rng):
     system = SMALL_PLANTS["zero"]()
-    for x in rng.standard_normal((3, 8)):
+    for x in rng.standard_normal((3, 2, 4)):
         assert not system.product(x).any()
     assert not system.selector_responses(rng.standard_normal((2, 4))).any()
 
@@ -100,7 +101,8 @@ def test_small_plant_keeps_the_dense_product(rng):
     system = SMALL_PLANTS["n_i3_n_o2"]()
     assert system._spectrum is None
     for x in rng.standard_normal((system.N * system.n_i, 5)).T:
-        assert np.array_equal(system.product(x), system.matrix @ x)
+        y = (system.matrix @ x).reshape(system.n_o, system.N)
+        assert np.array_equal(system.product(x.reshape(system.n_i, system.N)), y)
 
 
 def test_figure_runs_never_build_the_dense_matrix():
@@ -108,7 +110,7 @@ def test_figure_runs_never_build_the_dense_matrix():
     r = make_step_disturbance(100, 21)
     run_solver(PlantOracle(system, r), SolverConfig("stoch_cg", max_iterations=3, seed=0))
     noisy = PlantOracle(system, r, NoiseModel("gaussian", 0.05, seed=1))
-    e, _, _ = noisy.run_trial(Signal.zeros("input", 100, 21))
+    e, _, _ = noisy.run_trial(np.zeros((21, 100)))
     deterministic_gradient(noisy, e)
     assert "matrix" not in vars(system)
 
@@ -117,7 +119,7 @@ def test_long_trial_runs_from_the_markov_parameters(rng):
     """21x21 channels at N=1000: the dense operator would take 3.5 GB."""
     ss = generate_system(84, 21, 21, 0, feedthrough_gain=185)
     N = 1000
-    u = rng.standard_normal(N * 21)
+    u = rng.standard_normal((21, N))
     tracemalloc.start()
     try:
         system = lift(ss, N)
@@ -126,13 +128,13 @@ def test_long_trial_runs_from_the_markov_parameters(rng):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
-    assert rel_err(y, simulate_response(ss, u.reshape(21, N)).reshape(-1)) <= 1e-12
+    assert rel_err(y, simulate_response(ss, u)) <= 1e-12
     oracle = PlantOracle(system, make_step_disturbance(N, 21))
     trace = run_solver(oracle, SolverConfig("stoch_cg", max_iterations=5, seed=0))
     assert len(trace.records) == 5
     assert trace.records[-1].cost_true < trace.records[0].cost_true
     noisy = PlantOracle(system, make_step_disturbance(N, 21), NoiseModel("gaussian", 0.05, seed=1))
-    e, _, _ = noisy.run_trial(trace.final_input)
+    e, _, _ = noisy.run_trial(trace.final_input.data.reshape(21, N))
     tracemalloc.start()
     try:
         g = deterministic_gradient(noisy, e)
@@ -141,7 +143,7 @@ def test_long_trial_runs_from_the_markov_parameters(rng):
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
     assert noisy.snapshot_count() == 1 + 441
-    assert np.isfinite(g.data).all()
+    assert np.isfinite(g).all()
     assert "matrix" not in vars(system)
 
 
@@ -169,7 +171,7 @@ def test_noise_free_probe_selectors_equal_sequential_probes(monkeypatch, rng, br
         for m in range(2):
             u = np.zeros((2, 8))
             u[l] = te[m]
-            w = oracle.probe(Signal(u.reshape(-1), "input", 8, 2)).reshape(2, 8)[m]
+            w = oracle.probe(u)[m]
             if branch == "dense":  # exact: dyadic products in any summation order
                 assert np.array_equal(R[l, m], w)
             else:
@@ -193,10 +195,10 @@ def test_trial_returns_its_noise_free_cost_from_one_product(monkeypatch, rng, br
     product = LiftedSystem.product
     monkeypatch.setattr(LiftedSystem, "product",
                         lambda self, x: products.append(x) or product(self, x))
-    e, cost, cost_true = oracle.run_trial(f)
+    e, cost, cost_true = oracle.run_trial(f.data.reshape(3, 12))
     assert len(products) == 1
     assert cost_true == expected
-    assert cost == float(e @ e)
+    assert cost == float(np.vdot(e, e))
     assert (cost == cost_true) != noisy  # noise-free, the measured cost is the true one
     d = r.data - apply(system, f).data
     assert rel_err(cost_true, float(d @ d)) <= TOL
@@ -210,7 +212,7 @@ def test_structured_apply_imports_no_scipy():
         "from cgilc import PlantOracle, generate_system, lift, make_step_disturbance\n"
         "system = lift(generate_system(6, 8, 8, 1), 64)\n"
         "assert system._spectrum is not None\n"
-        "system.product(np.ones(512))\n"
+        "system.product(np.ones((8, 64)))\n"
         "PlantOracle(system, make_step_disturbance(64, 8)).probe_selectors(np.ones((8, 64)))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
