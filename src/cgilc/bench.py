@@ -1,6 +1,8 @@
 """Benchmark harness: run solver comparisons across seeds, emit CSV traces.
 
-A benchmark is described by a JSON spec (see :func:`spec_from_json`).  Every
+A benchmark is described by a JSON spec.  :func:`spec_from_json` realizes it
+when it is loaded: the plant is lifted and the disturbance built, so a
+malformed spec raises UsageError before anything is written.  Every
 (solver, seed) pair gets a fresh oracle with independent noise and mask
 streams, runs until its experiment budget or termination, and leaves one CSV
 trace behind.  A summary table reports the cumulative experiments needed to
@@ -33,38 +35,9 @@ class UsageError(ValueError):
 
 
 @dataclass(frozen=True)
-class GenerateSource:
-    n_x: int
-    n_i: int
-    n_o: int
-    N: int
-    seed: int
-    feedthrough_gain: float = 0.0
-
-    def __post_init__(self):
-        for name in ("n_x", "n_i", "n_o", "N", "seed"):
-            check_integer(name, getattr(self, name))
-
-
-@dataclass(frozen=True)
-class LoadSource:
-    path: str
-
-
-@dataclass(frozen=True)
-class StepDisturbance:
-    amplitude: float = 1.0
-
-
-@dataclass(frozen=True)
-class CustomDisturbance:
-    path: str
-
-
-@dataclass(frozen=True)
 class BenchmarkSpec:
-    system: GenerateSource | LoadSource
-    disturbance: StepDisturbance | CustomDisturbance
+    system: LiftedSystem
+    disturbance: Signal
     noise: NoiseModel
     solvers: tuple[SolverConfig, ...]
     budget: int
@@ -89,32 +62,72 @@ def _solver_from_json(doc: dict) -> SolverConfig:
         raise UsageError(f"bad solver config: {exc}") from exc
 
 
+def _generate(n_x, n_i, n_o, N, seed, feedthrough_gain=0.0) -> LiftedSystem:
+    """The ``generate`` source; its keyword parameters are the spec's fields.
+
+    Called with ``**fields``, so a missing or unknown field is a TypeError.
+    """
+    for name, value, minimum in (("n_x", n_x, 0), ("n_i", n_i, 1), ("n_o", n_o, 1),
+                                 ("N", N, 1), ("seed", seed, 0)):
+        check_integer(name, value, minimum)
+    return lift(generate_system(n_x, n_i, n_o, seed, feedthrough_gain=feedthrough_gain), N)
+
+
+def _system_from_json(doc: dict) -> LiftedSystem:
+    try:
+        if "generate" in doc:
+            return _generate(**doc["generate"])
+        if "load" in doc:
+            return lift(*load_system(doc["load"]))
+    except KeyError as exc:
+        raise UsageError(f"system file lacks field {exc}") from exc
+    except (OSError, TypeError, ValueError) as exc:
+        raise UsageError(f"bad system: {exc}") from exc
+    raise UsageError("system must have 'generate' or 'load'")
+
+
+def _disturbance_from_json(doc: dict, system: LiftedSystem) -> Signal:
+    kind = doc.get("kind", "step")
+    if kind == "step":
+        return make_step_disturbance(system.N, system.n_o, float(doc.get("amplitude", 1.0)))
+    if kind != "custom":
+        raise UsageError(f"unknown disturbance kind {kind!r}")
+    path = doc["path"]
+    try:
+        with open(path) as fh:
+            dist = json.load(fh)
+        r = Signal(dist["data"], "output", check_integer("N", dist["N"]),
+                   check_integer("channels", dist["channels"]))
+    except KeyError as exc:
+        raise UsageError(f"disturbance {path} lacks field {exc}") from exc
+    except (OSError, TypeError, ValueError) as exc:
+        raise UsageError(f"bad disturbance {path}: {exc}") from exc
+    if (r.N, r.channels) != (system.N, system.n_o):
+        raise UsageError(f"disturbance {path} has N={r.N} and {r.channels} channels; "
+                         f"the plant has N={system.N} and {system.n_o} outputs")
+    if not np.isfinite(r.data).all():
+        raise UsageError(f"disturbance {path} holds non-finite values")
+    return r
+
+
 def spec_from_json(doc: dict) -> BenchmarkSpec:
+    """The spec ``doc`` made ready to run: its plant lifted, its disturbance built.
+
+    Any fault in ``doc``, or in a file that it names, raises UsageError.
+    """
     try:
         for name in ("system", "disturbance", "noise"):
             if name in doc and not isinstance(doc[name], dict):
                 raise UsageError(f"{name} must be a JSON object, got {doc[name]!r}")
-        sys_doc = doc["system"]
-        if "generate" in sys_doc:
-            system = GenerateSource(**sys_doc["generate"])
-        elif "load" in sys_doc:
-            system = LoadSource(sys_doc["load"])
-        else:
-            raise UsageError("system must have 'generate' or 'load'")
-        dist_doc = doc.get("disturbance", {"kind": "step"})
-        if dist_doc.get("kind", "step") == "step":
-            disturbance = StepDisturbance(float(dist_doc.get("amplitude", 1.0)))
-        elif dist_doc["kind"] == "custom":
-            disturbance = CustomDisturbance(dist_doc["path"])
-        else:
-            raise UsageError(f"unknown disturbance kind {dist_doc['kind']!r}")
         noise_doc = doc.get("noise", {"kind": "none"})
         noise = NoiseModel(kind=noise_doc.get("kind", "none"),
                            sigma=float(noise_doc.get("sigma", 0.0)),
-                           seed=check_integer("noise seed", noise_doc.get("seed", 0)))
+                           seed=check_integer("noise seed", noise_doc.get("seed", 0), 0))
         solvers = tuple(_solver_from_json(s) for s in doc["solvers"])
         budget = check_integer("budget", doc["budget"])
-        seeds = tuple(check_integer("seeds entry", s) for s in doc.get("seeds", [0]))
+        seeds = tuple(check_integer("seeds entry", s, 0) for s in doc.get("seeds", [0]))
+        system = _system_from_json(doc["system"])
+        disturbance = _disturbance_from_json(doc.get("disturbance", {}), system)
     except KeyError as exc:
         raise UsageError(f"missing spec field: {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -131,42 +144,6 @@ def load_spec(path) -> BenchmarkSpec:
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read spec {path}: {exc}") from exc
     return spec_from_json(doc)
-
-
-def _realize_system(spec: BenchmarkSpec) -> LiftedSystem:
-    try:
-        if isinstance(spec.system, GenerateSource):
-            src = spec.system
-            ss = generate_system(src.n_x, src.n_i, src.n_o, src.seed,
-                                 feedthrough_gain=src.feedthrough_gain)
-            return lift(ss, src.N)
-        ss, N = load_system(spec.system.path)
-        return lift(ss, N)
-    except KeyError as exc:
-        raise UsageError(f"system file lacks field {exc}") from exc
-    except (OSError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad system: {exc}") from exc
-
-
-def _realize_disturbance(spec: BenchmarkSpec, system: LiftedSystem) -> Signal:
-    if isinstance(spec.disturbance, StepDisturbance):
-        return make_step_disturbance(system.N, system.n_o, spec.disturbance.amplitude)
-    path = spec.disturbance.path
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        r = Signal(doc["data"], "output", check_integer("N", doc["N"]),
-                   check_integer("channels", doc["channels"]))
-    except KeyError as exc:
-        raise UsageError(f"disturbance {path} lacks field {exc}") from exc
-    except (OSError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad disturbance {path}: {exc}") from exc
-    if (r.N, r.channels) != (system.N, system.n_o):
-        raise UsageError(f"disturbance {path} has N={r.N} and {r.channels} channels; "
-                         f"the plant has N={system.N} and {system.n_o} outputs")
-    if not np.isfinite(r.data).all():
-        raise UsageError(f"disturbance {path} holds non-finite values")
-    return r
 
 
 @dataclass
@@ -247,8 +224,6 @@ def summary_to_csv(summaries: list[RunSummary]) -> str:
 def run_benchmark(spec: BenchmarkSpec, out_dir) -> BenchmarkResult:
     """Execute every (solver, seed) run and write traces plus a summary."""
     os.makedirs(out_dir, exist_ok=True)
-    system = _realize_system(spec)
-    disturbance = _realize_disturbance(spec, system)
     noisy = spec.noise.active
     summaries: list[RunSummary] = []
     traces: list[RunTrace] = []
@@ -256,10 +231,10 @@ def run_benchmark(spec: BenchmarkSpec, out_dir) -> BenchmarkResult:
         for run_seed in spec.seeds:
             run_noise = replace(spec.noise, seed=combine(spec.noise.seed, run_seed))
             cfg = replace(solver, seed=combine(solver.seed, run_seed))
-            oracle = PlantOracle(system, disturbance, run_noise)
+            oracle = PlantOracle(spec.system, spec.disturbance, run_noise)
             name = f"{si:02d}_{_safe_name(solver.label)}_s{run_seed}"
             try:
-                trace = run_solver(oracle, cfg, budget=spec.budget, system=system)
+                trace = run_solver(oracle, cfg, budget=spec.budget, system=spec.system)
             except Exception as exc:  # solver failure: record, keep going
                 summaries.append(RunSummary(
                     label=solver.label, kind=solver.kind, run_seed=run_seed,

@@ -34,10 +34,15 @@ class LiftingError(ValueError):
     """Lifted operator could not be constructed (unstable or malformed model)."""
 
 
-def check_integer(name: str, value) -> int:
-    """``value`` if it is an integer (a bool is not); otherwise a ValueError naming ``name``."""
+def check_integer(name: str, value, minimum: int | None = None) -> int:
+    """``value`` if it is an integer (a bool is not) of at least ``minimum``.
+
+    Otherwise a ValueError naming ``name``.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
     return value
 
 
@@ -259,11 +264,12 @@ def save_system(path, ss: StateSpace, N: int) -> None:
 def load_system(path) -> tuple[StateSpace, int]:
     with open(path) as fh:
         doc = json.load(fh)
-    n_x, n_i, n_o = (check_integer(k, doc[k]) for k in ("n_x", "n_i", "n_o"))
+    n_x, n_i, n_o = (check_integer(k, doc[k], minimum) for k, minimum in
+                     (("n_x", 0), ("n_i", 1), ("n_o", 1)))
     ss = StateSpace(
         A=np.asarray(doc["A"], dtype=float).reshape(n_x, n_x),
         B=np.asarray(doc["B"], dtype=float).reshape(n_x, n_i),
         C=np.asarray(doc["C"], dtype=float).reshape(n_o, n_x),
         D=np.asarray(doc["D"], dtype=float).reshape(n_o, n_i),
     )
-    return ss, check_integer("N", doc["N"])
+    return ss, check_integer("N", doc["N"], 1)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lifted import LiftedSystem, Signal
+from .lifted import LiftedSystem, Signal, check_integer
 from .rng import NOISE_STREAM, stream
 
 
@@ -32,6 +32,7 @@ class NoiseModel:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if not 0 <= self.sigma < math.inf:  # also false for NaN
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
+        check_integer("seed", self.seed, 0)
 
     @property
     def active(self) -> bool:

@@ -53,11 +53,10 @@ class SolverConfig:
         if self.kind == "stoch_cg" and self.step_mode != "optimal_line_search":
             raise ValueError("stoch_cg conjugates against the J p of the previous line "
                              "search, so it needs step_mode 'optimal_line_search'")
-        if check_integer("max_iterations", self.max_iterations) < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.reset_period is not None and check_integer("reset_period", self.reset_period) < 1:
-            raise ValueError("reset_period must be >= 1")
-        check_integer("seed", self.seed)
+        check_integer("max_iterations", self.max_iterations, 1)
+        if self.reset_period is not None:
+            check_integer("reset_period", self.reset_period, 1)
+        check_integer("seed", self.seed, 0)
         if self.decay_a is not None and not self.decay_a > 0:
             raise ValueError("decay_a must be > 0")
         if not 0.5 < self.decay_gamma <= 1.0:

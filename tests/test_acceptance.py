@@ -27,13 +27,7 @@ from cgilc import (
     run_solver,
     stochastic_gradient,
 )
-from cgilc.bench import (
-    BenchmarkSpec,
-    GenerateSource,
-    StepDisturbance,
-    run_benchmark,
-    summarize_trace,
-)
+from cgilc.bench import BenchmarkSpec, run_benchmark, summarize_trace
 from cgilc.cli import main as cli_main
 from cgilc.rng import combine
 from reference import TimeReversal, adjoint_apply, apply, every_mask, time_reverse
@@ -221,9 +215,9 @@ class TestCriterion4FiniteTermination:
 @pytest.fixture(scope="module")
 def figure3_result(tmp_path_factory):
     spec = BenchmarkSpec(
-        system=GenerateSource(BENCH_NX, BENCH_NI, BENCH_NO, BENCH_N, BENCH_SEED,
-                              feedthrough_gain=BENCH_GAIN),
-        disturbance=StepDisturbance(1.0),
+        system=lift(generate_system(BENCH_NX, BENCH_NI, BENCH_NO, BENCH_SEED,
+                                    feedthrough_gain=BENCH_GAIN), BENCH_N),
+        disturbance=make_step_disturbance(BENCH_N, BENCH_NO),
         noise=NoiseModel(),
         solvers=(
             SolverConfig("stoch_cg", max_iterations=STOCH_BUDGET // 4, seed=0),

@@ -6,17 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from cgilc import NoiseModel, SolverConfig, StateSpace, generate_system, save_system
-from cgilc.bench import (
-    BenchmarkSpec,
-    GenerateSource,
-    StepDisturbance,
-    UsageError,
-    load_spec,
-    run_benchmark,
-    spec_from_json,
-    summarize_trace,
-)
+from cgilc import LiftedSystem, SolverConfig, StateSpace, generate_system, save_system
+from cgilc.bench import UsageError, run_benchmark, spec_from_json, summarize_trace
 from cgilc.cli import main
 from cgilc.plotting import plot_traces
 from cgilc.solvers import IterationRecord, RunTrace
@@ -48,11 +39,11 @@ def synthetic_trace(costs, exps=None):
 
 
 class TestTraceCsv:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         trace = synthetic_trace([4.0, 1.0, 0.25])
         text = trace_to_csv(trace)
         assert text.splitlines()[0] == "j,experiments_cum,cost_measured,cost_true,epsilon,tau,reset"
-        path = "/tmp/_trace_rt.csv"
+        path = tmp_path / "trace.csv"
         write_trace(trace, path)
         back = read_trace_csv(path)
         assert [r.j for r in back] == [1, 2, 3]
@@ -81,8 +72,11 @@ class TestTraceCsv:
 class TestSpecParsing:
     def test_parses_minimal_spec(self):
         spec = spec_from_json(tiny_spec_doc())
-        assert isinstance(spec.system, GenerateSource)
-        assert isinstance(spec.disturbance, StepDisturbance)
+        assert isinstance(spec.system, LiftedSystem)
+        assert (spec.system.N, spec.system.n_o, spec.system.n_i) == (6, 2, 2)
+        assert (spec.disturbance.space, spec.disturbance.N, spec.disturbance.channels) == (
+            "output", 6, 2)
+        assert (spec.disturbance.data == 1.0).all()
         assert spec.budget == 200
         assert len(spec.solvers) == 2
 
@@ -380,19 +374,36 @@ class TestCli:
         assert self.run_doc(tmp_path, doc) == 2
         assert "non-finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("section,field,value", [
-        ("solver", "max_iterations", 2.5), ("solver", "max_iterations", True),
-        ("solver", "reset_period", 1.5), ("solver", "seed", 1.5),
-        ("spec", "budget", 200.7), ("spec", "seeds", [0.5]), ("noise", "seed", 0.5),
-        ("generate", "seed", 1.5), ("generate", "seed", False), ("generate", "N", 5.9),
-        ("generate", "n_i", True), ("generate", "n_x", 3.0)])
-    def test_non_integer_count_or_seed_exits_2(self, tmp_path, capsys, section, field, value):
+    @pytest.mark.parametrize("section,field,value,message", [
+        ("solver", "max_iterations", 2.5, "max_iterations must be an integer"),
+        ("solver", "max_iterations", True, "max_iterations must be an integer"),
+        ("solver", "reset_period", 1.5, "reset_period must be an integer"),
+        ("solver", "seed", 1.5, "seed must be an integer"),
+        ("spec", "budget", 200.7, "budget must be an integer"),
+        ("spec", "seeds", [0.5], "seeds entry must be an integer"),
+        ("noise", "seed", 0.5, "noise seed must be an integer"),
+        ("generate", "seed", 1.5, "seed must be an integer"),
+        ("generate", "seed", False, "seed must be an integer"),
+        ("generate", "N", 5.9, "N must be an integer"),
+        ("generate", "n_i", True, "n_i must be an integer"),
+        ("generate", "n_x", 3.0, "n_x must be an integer"),
+        ("generate", "N", 0, "N must be >= 1, got 0"),
+        ("generate", "n_x", -1, "n_x must be >= 0, got -1"),
+        ("generate", "n_i", 0, "n_i must be >= 1, got 0"),
+        ("generate", "seed", -1, "seed must be >= 0, got -1"),
+        ("step", "amplitude", float("nan"), "amplitude must be finite"),
+        ("step", "amplitude", float("inf"), "amplitude must be finite"),
+        ("spec", "seeds", [-1], "seeds entry must be >= 0, got -1"),
+        ("solver", "seed", -1, "seed must be >= 0, got -1"),
+        ("noise", "seed", -1, "noise seed must be >= 0, got -1")])
+    def test_non_integer_count_or_seed_exits_2(self, tmp_path, capsys, section, field, value,
+                                               message):
         doc = tiny_spec_doc()
         target = {"solver": doc["solvers"][0], "spec": doc, "noise": doc["noise"],
-                  "generate": doc["system"]["generate"]}[section]
+                  "generate": doc["system"]["generate"], "step": doc["disturbance"]}[section]
         target[field] = value
         assert self.run_doc(tmp_path, doc) == 2
-        assert "must be an integer" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_custom_disturbance_file_is_usage_error(self, tmp_path):

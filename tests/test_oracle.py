@@ -27,6 +27,10 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(kind="uniform")
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            NoiseModel("gaussian", 0.1, seed=-2)
+
     def test_none_is_inactive(self):
         assert not NoiseModel().active
         assert not NoiseModel(kind="gaussian", sigma=0.0).active

@@ -392,7 +392,8 @@ class TestConfigValidation:
         ({"step_mode": "armijo"}, "step mode"),
         ({"max_iterations": 0}, "max_iterations"),
         ({"estimator": "half"}, "estimator"),
-    ], ids=["step_mode", "max_iterations", "estimator"])
+        ({"seed": -3}, "seed must be >= 0"),
+    ], ids=["step_mode", "max_iterations", "estimator", "negative_seed"])
     def test_rejects_bad_field(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             SolverConfig("stoch_gd", **kwargs)
