@@ -1,12 +1,12 @@
 """Benchmark harness: run solver comparisons across seeds, emit CSV traces.
 
 A benchmark is described by a JSON spec.  :func:`spec_from_json` realizes it
-when it is loaded: the plant is lifted and the disturbance built, so a
-malformed spec raises UsageError before anything is written.  Every
-(solver, seed) pair gets a fresh oracle with independent noise and mask
-streams, runs until its experiment budget or termination, and leaves one CSV
-trace behind.  A summary table reports the cumulative experiments needed to
-push the cost below 1e-1, 1e-2 and 1e-3 of its initial value.
+when it is loaded: each section's fields are checked by :func:`_fields`, the
+plant is lifted and the disturbance built, so an unknown, missing or malformed
+field raises UsageError before anything is written.  Every (solver, seed) pair
+gets a fresh oracle with independent noise and mask streams, runs until its
+budget or termination, and leaves one CSV trace behind.  A summary table gives
+the experiments needed to push the cost below 1e-1, 1e-2 and 1e-3 of its start.
 """
 
 from __future__ import annotations
@@ -52,47 +52,48 @@ class BenchmarkSpec:
             raise UsageError("at least one seed is required")
 
 
-def _solver_from_json(doc: dict) -> SolverConfig:
-    unknown = set(doc) - {f.name for f in fields(SolverConfig)}
+def _object(doc, name: str) -> dict:
+    if not isinstance(doc, dict):
+        raise UsageError(f"{name} must be a JSON object, got {doc!r}")
+    return doc
+
+
+def _fields(doc, name: str, required=(), optional=()) -> dict:
+    """``doc`` if a JSON object with every ``required`` field and no field outside both lists."""
+    unknown = sorted(set(_object(doc, name)) - set(required) - set(optional))
     if unknown:
-        raise UsageError(f"unknown solver fields: {sorted(unknown)}")
-    try:
-        return SolverConfig(**doc)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad solver config: {exc}") from exc
+        raise UsageError(f"unknown {name} fields: {unknown}")
+    for key in required:
+        if key not in doc:
+            raise UsageError(f"missing {name} field: {key!r}")
+    return doc
 
 
-def _generate(n_x, n_i, n_o, N, seed, feedthrough_gain=0.0) -> LiftedSystem:
-    """The ``generate`` source; its keyword parameters are the spec's fields.
-
-    Called with ``**fields``, so a missing or unknown field is a TypeError.
-    """
-    for name, value, minimum in (("n_x", n_x, 0), ("n_i", n_i, 1), ("n_o", n_o, 1),
-                                 ("N", N, 1), ("seed", seed, 0)):
-        check_integer(name, value, minimum)
-    return lift(generate_system(n_x, n_i, n_o, seed, feedthrough_gain=feedthrough_gain), N)
-
-
-def _system_from_json(doc: dict) -> LiftedSystem:
-    try:
-        if "generate" in doc:
-            return _generate(**doc["generate"])
-        if "load" in doc:
+def _system_from_json(doc) -> LiftedSystem:
+    sources = [s for s in ("generate", "load") if s in _object(doc, "system")]
+    if len(sources) != 1:
+        raise UsageError("system must hold exactly one of 'generate' or 'load'")
+    if "load" in _fields(doc, "system", sources):
+        try:
             return lift(*load_system(doc["load"]))
-    except KeyError as exc:
-        raise UsageError(f"system file lacks field {exc}") from exc
-    except (OSError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad system: {exc}") from exc
-    raise UsageError("system must have 'generate' or 'load'")
+        except KeyError as exc:
+            raise UsageError(f"system file lacks field {exc}") from exc
+        except (OSError, TypeError, ValueError) as exc:
+            raise UsageError(f"bad system: {exc}") from exc
+    minimum = {"n_x": 0, "n_i": 1, "n_o": 1, "N": 1, "seed": 0}
+    gen = _fields(doc["generate"], "generate", minimum, ("feedthrough_gain",))
+    n_x, n_i, n_o, N, seed = (check_integer(k, gen[k], m) for k, m in minimum.items())
+    return lift(generate_system(n_x, n_i, n_o, seed, gen.get("feedthrough_gain", 0.0)), N)
 
 
-def _disturbance_from_json(doc: dict, system: LiftedSystem) -> Signal:
-    kind = doc.get("kind", "step")
+def _disturbance_from_json(doc, system: LiftedSystem) -> Signal:
+    kind = _object(doc, "disturbance").get("kind", "step")
     if kind == "step":
-        return make_step_disturbance(system.N, system.n_o, float(doc.get("amplitude", 1.0)))
+        amplitude = _fields(doc, "disturbance", (), ("kind", "amplitude")).get("amplitude", 1.0)
+        return make_step_disturbance(system.N, system.n_o, amplitude)
     if kind != "custom":
         raise UsageError(f"unknown disturbance kind {kind!r}")
-    path = doc["path"]
+    path = _fields(doc, "disturbance", ("kind", "path"))["path"]
     try:
         with open(path) as fh:
             dist = json.load(fh)
@@ -110,26 +111,25 @@ def _disturbance_from_json(doc: dict, system: LiftedSystem) -> Signal:
     return r
 
 
-def spec_from_json(doc: dict) -> BenchmarkSpec:
+def spec_from_json(doc) -> BenchmarkSpec:
     """The spec ``doc`` made ready to run: its plant lifted, its disturbance built.
 
     Any fault in ``doc``, or in a file that it names, raises UsageError.
     """
     try:
-        for name in ("system", "disturbance", "noise"):
-            if name in doc and not isinstance(doc[name], dict):
-                raise UsageError(f"{name} must be a JSON object, got {doc[name]!r}")
-        noise_doc = doc.get("noise", {"kind": "none"})
-        noise = NoiseModel(kind=noise_doc.get("kind", "none"),
-                           sigma=float(noise_doc.get("sigma", 0.0)),
-                           seed=check_integer("noise seed", noise_doc.get("seed", 0), 0))
-        solvers = tuple(_solver_from_json(s) for s in doc["solvers"])
+        doc = _fields(doc, "spec", ("system", "solvers", "budget"), ("disturbance", "noise", "seeds"))
+        noise_doc = _fields(doc.get("noise", {}), "noise", (), ("kind", "sigma", "seed"))
+        noise = NoiseModel(noise_doc.get("kind", "none"), noise_doc.get("sigma", 0.0),
+                           check_integer("noise seed", noise_doc.get("seed", 0), 0))
+        for name in ("solvers", "seeds"):
+            if not isinstance(doc.get(name, []), list):
+                raise UsageError(f"{name} must be a JSON array, got {doc[name]!r}")
+        names = [f.name for f in fields(SolverConfig)]
+        solvers = tuple(SolverConfig(**_fields(s, "solver", ("kind",), names)) for s in doc["solvers"])
         budget = check_integer("budget", doc["budget"])
         seeds = tuple(check_integer("seeds entry", s, 0) for s in doc.get("seeds", [0]))
         system = _system_from_json(doc["system"])
         disturbance = _disturbance_from_json(doc.get("disturbance", {}), system)
-    except KeyError as exc:
-        raise UsageError(f"missing spec field: {exc}") from exc
     except (TypeError, ValueError) as exc:
         if isinstance(exc, UsageError):
             raise

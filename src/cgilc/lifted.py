@@ -46,6 +46,13 @@ def check_integer(name: str, value, minimum: int | None = None) -> int:
     return value
 
 
+def check_real(name: str, value):
+    """``value`` if it is a real number (a bool is not); otherwise a ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.flags.writeable = False

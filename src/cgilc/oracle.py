@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lifted import LiftedSystem, Signal, check_integer
+from .lifted import LiftedSystem, Signal, check_integer, check_real
 from .rng import NOISE_STREAM, stream
 
 
@@ -30,13 +30,15 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("none", "gaussian"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if not 0 <= self.sigma < math.inf:  # also false for NaN
+        if not 0 <= check_real("sigma", self.sigma) < math.inf:  # also false for NaN
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
+        if self.kind == "none" and self.sigma > 0:
+            raise ValueError(f"noise kind 'none' takes no sigma, got {self.sigma!r}")
         check_integer("seed", self.seed, 0)
 
     @property
     def active(self) -> bool:
-        return self.kind == "gaussian" and self.sigma > 0.0
+        return self.sigma > 0.0
 
 
 class PlantOracle:
@@ -61,7 +63,7 @@ class PlantOracle:
             raise ValueError("disturbance must be an output-space signal of the system")
         self._system = system
         self._r = disturbance.data.reshape(self.n_o, self.N)
-        self._sigma = noise.sigma if noise.active else 0.0
+        self._sigma = noise.sigma
         self._rng = stream(noise.seed, NOISE_STREAM)
         self._count = 0
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gradients import deterministic_gradient, stochastic_gradient
-from .lifted import LiftedSystem, Signal, check_integer
+from .lifted import LiftedSystem, Signal, check_integer, check_real
 from .oracle import PlantOracle
 from .rng import MASK_STREAM, stream
 
@@ -53,13 +53,15 @@ class SolverConfig:
         if self.kind == "stoch_cg" and self.step_mode != "optimal_line_search":
             raise ValueError("stoch_cg conjugates against the J p of the previous line "
                              "search, so it needs step_mode 'optimal_line_search'")
+        if self.step_mode != "decaying" and (self.decay_a is not None or self.decay_gamma != 1):
+            raise ValueError("decay_a and decay_gamma are read only under step_mode 'decaying'")
         check_integer("max_iterations", self.max_iterations, 1)
         if self.reset_period is not None:
             check_integer("reset_period", self.reset_period, 1)
         check_integer("seed", self.seed, 0)
-        if self.decay_a is not None and not self.decay_a > 0:
+        if self.decay_a is not None and not check_real("decay_a", self.decay_a) > 0:
             raise ValueError("decay_a must be > 0")
-        if not 0.5 < self.decay_gamma <= 1.0:
+        if not 0.5 < check_real("decay_gamma", self.decay_gamma) <= 1.0:
             raise ValueError("decay_gamma must lie in (0.5, 1]")
         if self.estimator is not None and self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")

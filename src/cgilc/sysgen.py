@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lifted import Signal, StateSpace
+from .lifted import Signal, StateSpace, check_real
 from .rng import SYSTEM_STREAM, stream
 
 EIGENVALUE_CAP = 0.95
@@ -26,6 +26,7 @@ def generate_system(n_x: int, n_i: int, n_o: int, seed: int,
     """
     if n_x < 0:
         raise ValueError("n_x must be >= 0")
+    check_real("feedthrough_gain", feedthrough_gain)
     rng = stream(seed, SYSTEM_STREAM)
     if n_x:
         diag = np.zeros((n_x, n_x))
@@ -55,6 +56,6 @@ def generate_system(n_x: int, n_i: int, n_o: int, seed: int,
 
 def make_step_disturbance(N: int, n_o: int, amplitude: float = 1.0) -> Signal:
     """Step of the given amplitude on every output channel, every sample."""
-    if not np.isfinite(amplitude):
+    if not np.isfinite(check_real("amplitude", amplitude)):
         raise ValueError("amplitude must be finite")
     return Signal(np.full(N * n_o, float(amplitude)), "output", N, n_o)

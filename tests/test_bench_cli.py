@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,16 +106,37 @@ class TestSpecParsing:
         ("spec", "solvers", None, "missing spec field: 'solvers'"),
         ("spec", "disturbance", "step", "disturbance must be a JSON object"),
         ("spec", "noise", [1], "noise must be a JSON object"),
+        ("spec", "seed", [3, 4], r"unknown spec fields: \['seed'\]"),
+        ("noise", "sigam", 0.3, r"unknown noise fields: \['sigam'\]"),
+        ("step", "amplitud", 5.0, r"unknown disturbance fields: \['amplitud'\]"),
+        ("system", "laod", "sys.json", r"unknown system fields: \['laod'\]"),
+        ("generate", "gain", 200.0, r"unknown generate fields: \['gain'\]"),
+        ("system", "load", "sys.json", "exactly one of 'generate' or 'load'"),
+        ("spec", "disturbance", {"kind": "custom"}, "missing disturbance field: 'path'"),
+        ("spec", "solvers", ["stoch_cg"], "solver must be a JSON object"),
+        ("spec", "solvers", {"kind": "stoch_cg"}, "solvers must be a JSON array"),
+        ("spec", "seeds", 3, "seeds must be a JSON array"),
+        ("spec", "seeds", "01", "seeds must be a JSON array"),
     ], ids=["empty_seeds", "no_system_source", "disturbance_kind", "no_budget", "no_solvers",
-            "disturbance_string", "noise_list"])
+            "disturbance_string", "noise_list", "spec_seed", "noise_sigam", "step_amplitud",
+            "system_laod", "generate_gain", "generate_and_load", "custom_without_path",
+            "solver_string", "solvers_object", "seeds_int", "seeds_string"])
     def test_malformed_spec_is_usage_error(self, section, field, value, match):
         doc = tiny_spec_doc()
+        target = {"spec": doc, "noise": doc["noise"], "step": doc["disturbance"],
+                  "system": doc["system"], "generate": doc["system"]["generate"]}[section]
         if value is None:
-            del doc[field]
+            del target[field]
         else:
-            doc[field] = value
+            target[field] = value
         with pytest.raises(UsageError, match=match):
             spec_from_json(doc)
+
+    def test_readme_spec_parses(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        (block,) = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+        spec = spec_from_json(json.loads(block))
+        assert (spec.system.n_i, spec.system.n_o, spec.system.N) == (21, 21, 100)
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
     def test_non_finite_sigma_is_usage_error(self, sigma):
@@ -395,12 +417,20 @@ class TestCli:
         ("step", "amplitude", float("inf"), "amplitude must be finite"),
         ("spec", "seeds", [-1], "seeds entry must be >= 0, got -1"),
         ("solver", "seed", -1, "seed must be >= 0, got -1"),
-        ("noise", "seed", -1, "noise seed must be >= 0, got -1")])
+        ("noise", "seed", -1, "noise seed must be >= 0, got -1"),
+        ("noise", "sigma", True, "sigma must be a real number, got True"),
+        ("noise", "sigma", "0.3", "sigma must be a real number, got '0.3'"),
+        ("step", "amplitude", "5", "amplitude must be a real number, got '5'"),
+        ("generate", "feedthrough_gain", True, "feedthrough_gain must be a real number"),
+        ("decaying", "decay_a", True, "decay_a must be a real number, got True"),
+        ("decaying", "decay_gamma", True, "decay_gamma must be a real number, got True")])
     def test_non_integer_count_or_seed_exits_2(self, tmp_path, capsys, section, field, value,
                                                message):
         doc = tiny_spec_doc()
+        doc["solvers"][1]["step_mode"] = "decaying"  # so that the det_gd decay fields are read
         target = {"solver": doc["solvers"][0], "spec": doc, "noise": doc["noise"],
-                  "generate": doc["system"]["generate"], "step": doc["disturbance"]}[section]
+                  "generate": doc["system"]["generate"], "step": doc["disturbance"],
+                  "decaying": doc["solvers"][1]}[section]
         target[field] = value
         assert self.run_doc(tmp_path, doc) == 2
         assert message in capsys.readouterr().err

@@ -23,6 +23,10 @@ class TestNoiseModel:
         with pytest.raises(ValueError, match="finite"):
             NoiseModel("gaussian", sigma)
 
+    def test_rejects_sigma_without_noise(self):
+        with pytest.raises(ValueError, match="takes no sigma"):
+            NoiseModel(kind="none", sigma=0.3)
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             NoiseModel(kind="uniform")

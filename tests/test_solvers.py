@@ -393,7 +393,9 @@ class TestConfigValidation:
         ({"max_iterations": 0}, "max_iterations"),
         ({"estimator": "half"}, "estimator"),
         ({"seed": -3}, "seed must be >= 0"),
-    ], ids=["step_mode", "max_iterations", "estimator", "negative_seed"])
+        ({"decay_a": 0.5}, "read only under step_mode 'decaying'"),
+    ], ids=["step_mode", "max_iterations", "estimator", "negative_seed",
+            "decay_a_under_line_search"])
     def test_rejects_bad_field(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             SolverConfig("stoch_gd", **kwargs)
