@@ -80,10 +80,10 @@ def _system_from_json(doc) -> LiftedSystem:
             raise UsageError(f"system file lacks field {exc}") from exc
         except (OSError, TypeError, ValueError) as exc:
             raise UsageError(f"bad system: {exc}") from exc
-    minimum = {"n_x": 0, "n_i": 1, "n_o": 1, "N": 1, "seed": 0}
-    gen = _fields(doc["generate"], "generate", minimum, ("feedthrough_gain",))
-    n_x, n_i, n_o, N, seed = (check_integer(k, gen[k], m) for k, m in minimum.items())
-    return lift(generate_system(n_x, n_i, n_o, seed, gen.get("feedthrough_gain", 0.0)), N)
+    gen = _fields(doc["generate"], "generate", ("n_x", "n_i", "n_o", "N", "seed"),
+                  ("feedthrough_gain",))
+    return lift(generate_system(gen["n_x"], gen["n_i"], gen["n_o"], gen["seed"],
+                                gen.get("feedthrough_gain", 0.0)), gen["N"])
 
 
 def _disturbance_from_json(doc, system: LiftedSystem) -> Signal:

@@ -23,7 +23,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--outputs", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--trial-length", type=int, default=100,
-                     help="samples per trial stored with the system (default 100)")
+                     help="samples per trial, stored with the system as N (default 100)")
     gen.add_argument("--feedthrough-gain", type=float, default=0.0,
                      help="add gain*I to D to keep the lifted operator well conditioned")
     gen.add_argument("--out", required=True)
@@ -44,9 +44,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "gen-system":
-            ss = generate_system(args.states, args.inputs, args.outputs, args.seed,
-                                 feedthrough_gain=args.feedthrough_gain)
-            save_system(args.out, ss, args.trial_length)
+            try:
+                ss = generate_system(args.states, args.inputs, args.outputs, args.seed,
+                                     feedthrough_gain=args.feedthrough_gain)
+                save_system(args.out, ss, args.trial_length)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
             print(f"wrote {args.out}")
             return 0
         if args.command == "run":

@@ -209,9 +209,9 @@ class LiftedSystem:
         N = self.N
         if self._spectrum is None:  # matrix.dot: the BLAS call of matrix @ x, less dispatch
             return self.matrix.dot(x.reshape(-1)).reshape(self.n_o, N)
-        xf = np.fft.rfft(np.asarray(x, dtype=float).reshape(1, self.n_i, N), n=2 * N, axis=2)
-        yf = np.matmul(self._spectrum, xf.transpose(2, 1, 0))
-        return np.fft.irfft(yf.transpose(2, 1, 0), n=2 * N, axis=2)[0, :, :N]
+        xf = np.fft.rfft(x, n=2 * N, axis=1)
+        yf = np.matmul(self._spectrum, xf.T[:, :, None])  # (N+1, n_o, 1)
+        return np.fft.irfft(yf[:, :, 0].T, n=2 * N, axis=1)[:, :N]
 
     def selector_responses(self, te: np.ndarray) -> np.ndarray:
         """Responses to the selector inputs, shape (n_i, n_o, N).
@@ -246,9 +246,7 @@ def markov_parameters(ss: StateSpace, N: int) -> np.ndarray:
 
 def lift(ss: StateSpace, N: int) -> LiftedSystem:
     """The lifted operator of ``ss`` over a trial of ``N`` samples."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    return LiftedSystem(markov_parameters(ss, N))
+    return LiftedSystem(markov_parameters(ss, check_integer("N", N, 1)))
 
 
 def save_system(path, ss: StateSpace, N: int) -> None:
@@ -257,7 +255,7 @@ def save_system(path, ss: StateSpace, N: int) -> None:
         "n_x": ss.n_x,
         "n_i": ss.n_i,
         "n_o": ss.n_o,
-        "N": int(N),
+        "N": int(check_integer("N", N, 1)),
         "A": ss.A.tolist(),
         "B": ss.B.tolist(),
         "C": ss.C.tolist(),

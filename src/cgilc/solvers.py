@@ -55,6 +55,10 @@ class SolverConfig:
                              "search, so it needs step_mode 'optimal_line_search'")
         if self.step_mode != "decaying" and (self.decay_a is not None or self.decay_gamma != 1):
             raise ValueError("decay_a and decay_gamma are read only under step_mode 'decaying'")
+        if self.reset_period is not None and self.kind not in ("stoch_cg", "det_cg"):
+            raise ValueError(f"reset_period is read only by the CG kinds, not {self.kind}")
+        if self.kind == "norm_optimal" and (self.step_mode != "optimal_line_search" or self.estimator):
+            raise ValueError("norm_optimal reads no step_mode, decay, estimator or reset_period")
         check_integer("max_iterations", self.max_iterations, 1)
         if self.reset_period is not None:
             check_integer("reset_period", self.reset_period, 1)
@@ -144,27 +148,23 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
 
     Each iteration plans its experiments once (trial, gradient, ``probe_Jg``,
     ``line_search``); the budget check and the loop body read the same plan.
-    f, p and g are the oracle's (n_i, N) arrays, used as they are; a run's
-    one :class:`Signal` is ``RunTrace.final_input``.  Each squared norm is
-    computed once and handed to :func:`conjugation_coefficient`,
-    :func:`fletcher_reeves_coefficient` and :func:`optimal_step`.
+    Between iterations the loop carries one search state: the direction p
+    and the J p, ||p||^2 and ||J p||^2 of the last line search, which the
+    conjugation coefficient reads before this iteration's line search
+    replaces them.  f, p and g are the oracle's (n_i, N) arrays; a run's one
+    :class:`Signal` is ``RunTrace.final_input``.
     """
     is_cg = cfg.kind in ("stoch_cg", "det_cg")
-    fletcher_reeves = cfg.kind == "det_cg"
     estimator = cfg.estimator or ("full" if cfg.kind.startswith("det") else "single")
     single = estimator == "single"
     optimal_mode = cfg.step_mode == "optimal_line_search"
     gradient_experiments = 1 if single else oracle.n_i * oracle.n_o
     mask_rng = stream(cfg.seed, MASK_STREAM)
-    N, n_i = oracle.N, oracle.n_i
 
     trace = RunTrace(config=cfg, stop_reason="max_iterations")
-    records = trace.records
-    f = np.zeros((n_i, N))
-    p: np.ndarray | None = None
-    p_sq = 0.0  # ||p||^2 of the current direction
-    Jp_prev: np.ndarray | None = None  # measured J p of the last line search
-    Jp_prev_sq = 0.0
+    f = np.zeros((oracle.n_i, oracle.N))
+    p = Jp = None  # the search state
+    p_sq = Jp_sq = 0.0
     g_prev_sq = 0.0  # ||g||^2 of the last gradient, for Fletcher-Reeves
     gain_sq_est = 0.0  # running lower bound on ||J||^2 from probe responses
     cost0_true: float | None = None
@@ -181,9 +181,8 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
         return w_sq <= EPS_DENOMINATOR_TOL * u_sq * gain_sq_est or w_sq <= 0.0
 
     for j in range(1, cfg.max_iterations + 1):
-        reset_due = (is_cg and cfg.reset_period is not None and j > 1
-                     and (j - 1) % cfg.reset_period == 0)
-        conjugate = is_cg and j > 1 and not reset_due
+        conjugate = is_cg and j > 1 and (cfg.reset_period is None
+                                         or (j - 1) % cfg.reset_period != 0)
         probe_Jg = cfg.kind == "stoch_cg" and conjugate
         line_search = optimal_mode or decay_a is None
         planned = 1 + gradient_experiments + probe_Jg + line_search
@@ -192,12 +191,11 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
             break
 
         e, cost_measured, cost_true = oracle.run_trial(f)
-        experiments_at_trial = oracle.snapshot_count()
+        row = (j, oracle.snapshot_count(), cost_measured, cost_true)
         if cost0_true is None:
             cost0_true = cost_true
         if cost_true <= COST_TOL * cost0_true:
-            records.append(IterationRecord(
-                j, experiments_at_trial, cost_measured, cost_true, None, None, False))
+            trace.records.append(IterationRecord(*row, None, None, False))
             trace.stop_reason = "cost_tol"
             break
 
@@ -205,53 +203,44 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
             g = stochastic_gradient(oracle, e, rng=mask_rng)
         else:
             g = deterministic_gradient(oracle, e)
-        g_sq = float(np.vdot(g, g)) if probe_Jg or fletcher_reeves else None
+        g_sq = float(np.vdot(g, g)) if is_cg else None
 
         tau: float | None = None
-        reset_flag = False
         if probe_Jg:
             Jg = oracle.probe(g)
             Jg_sq = float(np.vdot(Jg, Jg))
             observe(g_sq, Jg_sq)
-            if not degenerate(p_sq, Jp_prev_sq):
-                tau = conjugation_coefficient(Jp_prev, Jg, Jp_prev_sq)
-        elif conjugate:  # Fletcher-Reeves
-            if g_prev_sq > 0.0:
-                tau = fletcher_reeves_coefficient(g_sq, g_prev_sq)
-        if tau is not None:
-            p = g + p * tau
-        else:
-            p = g
-            reset_flag = is_cg and j > 1  # a scheduled or a degenerate reset to the gradient
+            if not degenerate(p_sq, Jp_sq):
+                tau = conjugation_coefficient(Jp, Jg, Jp_sq)
+        elif conjugate and g_prev_sq > 0.0:  # Fletcher-Reeves
+            tau = fletcher_reeves_coefficient(g_sq, g_prev_sq)
+        p = g if tau is None else g + p * tau
 
-        eps: float | None
+        eps: float | None = None  # stays None when the direction is degenerate
         if line_search:
             Jp = oracle.probe(p)
             p_sq, Jp_sq = float(np.vdot(p, p)), float(np.vdot(Jp, Jp))
             observe(p_sq, Jp_sq)
             if probe_Jg and tau is not None and degenerate(p_sq, Jp_sq):
                 # the conjugated direction maps to nothing: step along g, whose J g is measured
-                p, Jp, p_sq, Jp_sq = g, Jg, g_sq, Jg_sq
-                tau, reset_flag = None, True
-            if degenerate(p_sq, Jp_sq):
-                records.append(IterationRecord(
-                    j, experiments_at_trial, cost_measured, cost_true, None, tau, reset_flag))
-                trace.stop_reason = "degenerate_direction"
-                break
-            eps = optimal_step(e, Jp, Jp_sq)
-            Jp_prev, Jp_prev_sq = Jp, Jp_sq
-            if not optimal_mode:
-                decay_a = abs(eps)  # anchor the schedule to the first measured step
+                p, Jp, p_sq, Jp_sq, tau = g, Jg, g_sq, Jg_sq, None
+            if not degenerate(p_sq, Jp_sq):
+                eps = optimal_step(e, Jp, Jp_sq)
+                if not optimal_mode:
+                    decay_a = abs(eps)  # anchor the schedule to the first measured step
         else:
             # descend along the (uphill) gradient direction
             eps = -decay_a / float(j) ** cfg.decay_gamma
 
+        # a CG iteration after the first that steps along g is a reset
+        trace.records.append(IterationRecord(*row, eps, tau, is_cg and j > 1 and tau is None))
+        if eps is None:
+            trace.stop_reason = "degenerate_direction"
+            break
         f = f + p * eps
         g_prev_sq = g_sq
-        records.append(IterationRecord(
-            j, experiments_at_trial, cost_measured, cost_true, eps, tau, reset_flag))
 
-    trace.final_input = Signal(f, "input", N, n_i)
+    trace.final_input = Signal(f, "input", oracle.N, oracle.n_i)
     return trace
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lifted import Signal, StateSpace, check_real
+from .lifted import Signal, StateSpace, check_integer, check_real
 from .rng import SYSTEM_STREAM, stream
 
 EIGENVALUE_CAP = 0.95
@@ -24,9 +24,11 @@ def generate_system(n_x: int, n_i: int, n_o: int, seed: int,
     zeros inside the unit circle so that iterative solvers can actually reach
     deep cost levels.  The default 0 leaves the raw random system untouched.
     """
-    if n_x < 0:
-        raise ValueError("n_x must be >= 0")
-    check_real("feedthrough_gain", feedthrough_gain)
+    for name, value, minimum in (("n_x", n_x, 0), ("n_i", n_i, 1), ("n_o", n_o, 1),
+                                 ("seed", seed, 0)):
+        check_integer(name, value, minimum)
+    if not np.isfinite(check_real("feedthrough_gain", feedthrough_gain)):
+        raise ValueError("feedthrough_gain must be finite")
     rng = stream(seed, SYSTEM_STREAM)
     if n_x:
         diag = np.zeros((n_x, n_x))

@@ -117,10 +117,13 @@ class TestSpecParsing:
         ("spec", "solvers", {"kind": "stoch_cg"}, "solvers must be a JSON array"),
         ("spec", "seeds", 3, "seeds must be a JSON array"),
         ("spec", "seeds", "01", "seeds must be a JSON array"),
+        ("spec", "solvers", [{"kind": "stoch_gd", "reset_period": 20}],
+         "reset_period is read only by the CG kinds"),
     ], ids=["empty_seeds", "no_system_source", "disturbance_kind", "no_budget", "no_solvers",
             "disturbance_string", "noise_list", "spec_seed", "noise_sigam", "step_amplitud",
             "system_laod", "generate_gain", "generate_and_load", "custom_without_path",
-            "solver_string", "solvers_object", "seeds_int", "seeds_string"])
+            "solver_string", "solvers_object", "seeds_int", "seeds_string",
+            "gd_reset_period"])
     def test_malformed_spec_is_usage_error(self, section, field, value, match):
         doc = tiny_spec_doc()
         target = {"spec": doc, "noise": doc["noise"], "step": doc["disturbance"],
@@ -311,6 +314,21 @@ class TestCli:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["n_x"] == 4 and doc["N"] == 7
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--states", "-1", "n_x must be >= 0, got -1"),
+        ("--inputs", "0", "n_i must be >= 1, got 0"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--feedthrough-gain", "nan", "feedthrough_gain must be finite"),
+        ("--trial-length", "0", "N must be >= 1, got 0"),
+    ], ids=["states", "inputs", "seed", "feedthrough_gain", "trial_length"])
+    def test_gen_system_bad_argument_exits_2(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "sys.json"
+        code = main(["gen-system", "--states", "4", "--inputs", "2", "--outputs", "2",
+                     flag, value, "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_and_plot(self, tmp_path, capsys):
         spec_path = tmp_path / "bench.json"

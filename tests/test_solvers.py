@@ -394,11 +394,16 @@ class TestConfigValidation:
         ({"estimator": "half"}, "estimator"),
         ({"seed": -3}, "seed must be >= 0"),
         ({"decay_a": 0.5}, "read only under step_mode 'decaying'"),
+        ({"reset_period": 2}, "reset_period is read only by the CG kinds"),
+        ({"kind": "det_gd", "reset_period": 2}, "reset_period is read only by the CG kinds"),
+        ({"kind": "norm_optimal", "estimator": "single"}, "norm_optimal reads no"),
+        ({"kind": "norm_optimal", "step_mode": "decaying", "decay_a": 0.1}, "norm_optimal reads no"),
     ], ids=["step_mode", "max_iterations", "estimator", "negative_seed",
-            "decay_a_under_line_search"])
+            "decay_a_under_line_search", "stoch_gd_reset_period", "det_gd_reset_period",
+            "norm_optimal_estimator", "norm_optimal_step_mode"])
     def test_rejects_bad_field(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
-            SolverConfig("stoch_gd", **kwargs)
+            SolverConfig(**{"kind": "stoch_gd", **kwargs})
 
     def test_rejects_bad_decay(self):
         with pytest.raises(ValueError):
@@ -467,7 +472,7 @@ PLAN_GRID = [
     for kind in ("stoch_cg", "det_cg", "stoch_gd", "det_gd")
     for step_mode, decay_a in (("optimal_line_search", None), ("decaying", 0.05),
                                ("decaying", None))
-    for reset_period in (None, 2)
+    for reset_period in ((None, 2) if kind.endswith("cg") else (None,))
     for estimator in (None, "single", "full")
     if kind != "stoch_cg" or step_mode == "optimal_line_search"
 ]
@@ -563,7 +568,8 @@ class TestOracleContract:
         _, J = small_system(seed=1, n_x=3, n_i=2, n_o=3, N=5)
         noise = NoiseModel("gaussian", 0.05, seed=4) if noisy else NoiseModel()
         oracle = _CountingOracle(J, make_step_disturbance(J.N, J.n_o, 1.0), noise)
-        trace = run_solver(oracle, SolverConfig(kind, max_iterations=8, reset_period=3,
+        reset_period = 3 if kind.endswith("cg") else None
+        trace = run_solver(oracle, SolverConfig(kind, max_iterations=8, reset_period=reset_period,
                                                 estimator=estimator, seed=5),
                            budget=budget, system=J)
         assert oracle.seen == oracle.snapshot_count() > 0
@@ -586,7 +592,8 @@ class TestOracleContract:
         init = Signal.__init__
         monkeypatch.setattr(Signal, "__init__",
                             lambda self, *args: built.append(args) or init(self, *args))
-        trace = run_solver(oracle, SolverConfig(kind, max_iterations=8, reset_period=3,
+        reset_period = 3 if kind.endswith("cg") else None
+        trace = run_solver(oracle, SolverConfig(kind, max_iterations=8, reset_period=reset_period,
                                                 seed=5))
         assert len(trace.records) > 3
         assert len(built) == 1
