@@ -318,10 +318,11 @@ class TestCli:
     @pytest.mark.parametrize("flag,value,message", [
         ("--states", "-1", "n_x must be >= 0, got -1"),
         ("--inputs", "0", "n_i must be >= 1, got 0"),
+        ("--outputs", "0", "n_o must be >= 1, got 0"),
         ("--seed", "-1", "seed must be >= 0, got -1"),
         ("--feedthrough-gain", "nan", "feedthrough_gain must be finite"),
         ("--trial-length", "0", "N must be >= 1, got 0"),
-    ], ids=["states", "inputs", "seed", "feedthrough_gain", "trial_length"])
+    ], ids=["states", "inputs", "outputs", "seed", "feedthrough_gain", "trial_length"])
     def test_gen_system_bad_argument_exits_2(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "sys.json"
         code = main(["gen-system", "--states", "4", "--inputs", "2", "--outputs", "2",

@@ -137,6 +137,10 @@ class TestLift:
         with pytest.raises(ValueError):
             lift(static_gain_ss(), N=0)
 
+    def test_requires_integer_length(self):
+        with pytest.raises(ValueError, match="N must be an integer"):
+            lift(static_gain_ss(), N=2.0)
+
 
 class TestLiftedSystem:
     def test_shape_comes_from_the_markov_parameters(self):
@@ -285,6 +289,12 @@ class TestSerialization:
         for a, b in ((ss.A, ss2.A), (ss.B, ss2.B), (ss.C, ss2.C), (ss.D, ss2.D)):
             assert np.array_equal(a, b)
         assert np.array_equal(lift(ss, 12).matrix, lift(ss2, 12).matrix)
+
+    def test_save_rejects_bad_length_and_writes_nothing(self, tmp_path):
+        path = tmp_path / "sys.json"
+        with pytest.raises(ValueError, match="N must be >= 1, got 0"):
+            save_system(path, static_gain_ss(), N=0)
+        assert not path.exists()
 
     def test_document_schema(self, tmp_path):
         ss = generate_system(3, 1, 2, seed=4)

@@ -398,12 +398,18 @@ class TestConfigValidation:
         ({"kind": "det_gd", "reset_period": 2}, "reset_period is read only by the CG kinds"),
         ({"kind": "norm_optimal", "estimator": "single"}, "norm_optimal reads no"),
         ({"kind": "norm_optimal", "step_mode": "decaying", "decay_a": 0.1}, "norm_optimal reads no"),
+        ({"kind": "norm_optimal", "reset_period": 3}, "reset_period is read only by the CG kinds"),
     ], ids=["step_mode", "max_iterations", "estimator", "negative_seed",
             "decay_a_under_line_search", "stoch_gd_reset_period", "det_gd_reset_period",
-            "norm_optimal_estimator", "norm_optimal_step_mode"])
+            "norm_optimal_estimator", "norm_optimal_step_mode", "norm_optimal_reset_period"])
     def test_rejects_bad_field(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             SolverConfig(**{"kind": "stoch_gd", **kwargs})
+
+    @pytest.mark.parametrize("kind", ["stoch_cg", "det_cg", "stoch_gd", "det_gd", "norm_optimal"])
+    def test_every_kind_accepts_the_shared_fields(self, kind):
+        config = SolverConfig(kind, max_iterations=3, seed=1, label="run")
+        assert (config.max_iterations, config.seed, config.label) == (3, 1, "run")
 
     def test_rejects_bad_decay(self):
         with pytest.raises(ValueError):

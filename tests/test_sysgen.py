@@ -50,6 +50,19 @@ class TestGenerateSystem:
         with pytest.raises(ValueError):
             generate_system(-1, 1, 1, seed=0)
 
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"n_x": 2.5}, "n_x must be an integer"),
+        ({"n_i": 0}, "n_i must be >= 1, got 0"),
+        ({"n_o": 0}, "n_o must be >= 1, got 0"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"feedthrough_gain": float("inf")}, "feedthrough_gain must be finite"),
+        ({"feedthrough_gain": "1"}, "feedthrough_gain must be a real number"),
+    ], ids=["fractional_states", "no_inputs", "no_outputs", "negative_seed",
+            "infinite_gain", "string_gain"])
+    def test_rejects_bad_argument(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            generate_system(**{"n_x": 3, "n_i": 2, "n_o": 2, "seed": 0, **kwargs})
+
 
 class TestStepDisturbance:
     def test_unit_step_layout(self):
