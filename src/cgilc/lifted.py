@@ -220,7 +220,8 @@ class LiftedSystem:
         (n_o, N)) is applied on input channel l alone, the other inputs zero.
         The dense branch multiplies all n_i*n_o selector inputs as the
         columns of one matrix; the FFT branch convolves each ``te[m]`` with
-        the Markov parameters from every input to output m.
+        the Markov parameters from every input to output m, one input
+        channel at a time, so that no temporary is as large as the result.
         """
         N, n_i, n_o = self.N, self.n_i, self.n_o
         if self._spectrum is None:
@@ -230,7 +231,11 @@ class LiftedSystem:
             Y = self.matrix.dot(U.reshape(N * n_i, n_i * n_o)).reshape(n_o, N, n_i, n_o)
             return Y.diagonal(axis1=0, axis2=3).transpose(1, 2, 0)
         tf = np.fft.rfft(te, n=2 * N, axis=1)
-        return np.fft.irfft(self._spectrum.transpose(2, 1, 0) * tf, n=2 * N, axis=2)[..., :N]
+        spectrum = self._spectrum.transpose(2, 1, 0)  # (n_i, n_o, N+1)
+        R = np.empty((n_i, n_o, N))
+        for l in range(n_i):
+            R[l] = np.fft.irfft(spectrum[l] * tf, n=2 * N, axis=1)[:, :N]
+        return R
 
 
 def markov_parameters(ss: StateSpace, N: int) -> np.ndarray:

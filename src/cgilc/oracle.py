@@ -11,12 +11,28 @@ selector experiments through :meth:`LiftedSystem.selector_responses`.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lifted import LiftedSystem, Signal, check_integer, check_real
 from .rng import NOISE_STREAM, stream
+
+# Draws the normals of noisy FFT-branch selector calls while the calling thread
+# computes their responses.  Its thread starts on the first such call; a forked
+# child gets an executor of its own, since the parent's thread does not exist
+# there and work handed to it would never run.
+_noise_worker = ThreadPoolExecutor(max_workers=1)
+
+
+def _renew_noise_worker():
+    global _noise_worker
+    _noise_worker = ThreadPoolExecutor(max_workers=1)
+
+
+os.register_at_fork(after_in_child=_renew_noise_worker)
 
 
 @dataclass(frozen=True)
@@ -51,8 +67,8 @@ class PlantOracle:
     N(0, sigma^2) draw from the noise stream, taken in call order for exactly
     the samples a call returns.  ``N``, ``n_i`` and ``n_o`` are the plant's
     trial length and channel counts.  Single-owner mutable state (experiment
-    counter plus noise stream); do not share one oracle between concurrent
-    solver runs.
+    counter, noise stream and the selector noise array); do not share one
+    oracle between concurrent solver runs.
     """
 
     def __init__(self, system: LiftedSystem, disturbance: Signal,
@@ -66,15 +82,23 @@ class PlantOracle:
         self._sigma = noise.sigma
         self._rng = stream(noise.seed, NOISE_STREAM)
         self._count = 0
+        # The FFT branch's selector noise, drawn anew into the same array on
+        # every call: a fresh one each call would fault in fresh pages.
+        self._selector_noise = None
 
     def snapshot_count(self) -> int:
         """Current experiment count; no side effects."""
         return self._count
 
-    def _measure(self, data: np.ndarray) -> np.ndarray:
-        if self._sigma:
-            return data + self._sigma * self._rng.standard_normal(data.shape)
-        return data
+    def _measure(self, data: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
+        """data plus sigma times the normals z, drawn here unless given; z holds the result."""
+        if not self._sigma:
+            return data
+        if z is None:
+            z = self._rng.standard_normal(data.shape)
+        z *= self._sigma
+        z += data  # data + sigma * z bit for bit: IEEE addition commutes
+        return z
 
     @staticmethod
     def _checked(x, shape: tuple[int, int], what: str) -> np.ndarray:
@@ -109,11 +133,31 @@ class PlantOracle:
         Experiment (l, m) applies ``te[m]`` (``te`` has shape (n_o, N)) on
         input channel l alone, and only its output channel m is read;
         ``R[l, m]`` is that reading, shape (n_i, n_o, N), with its own noise
-        on each sample.  Counts n_i*n_o experiments.
+        on each sample.  Counts n_i*n_o experiments.  A noisy call draws
+        its n_i*n_o*N normals even if the responses fail; on the FFT branch
+        it draws them on a worker thread while it computes the responses,
+        with the values and order of an inline draw.
         """
         te = self._checked(te, (self.n_o, self.N), "selector signals")
         self._count += self.n_i * self.n_o
-        return self._measure(self._system.selector_responses(te))
+        system = self._system
+        if not self._sigma:
+            return system.selector_responses(te)
+        shape = (self.n_i, self.n_o, self.N)
+        if system._spectrum is None:  # dense: the draw costs about what handing it over does
+            z = self._rng.standard_normal(shape)
+            return self._measure(system.selector_responses(te), z)
+        if self._selector_noise is None:
+            self._selector_noise = np.empty(shape)
+        z = self._selector_noise
+        draw = _noise_worker.submit(self._rng.standard_normal, out=z)
+        try:
+            R = system.selector_responses(te)
+        finally:
+            draw.result()
+        z *= self._sigma
+        R += z
+        return R
 
     def true_cost(self, f: Signal) -> float:
         """Noise-free cost ||r - J f||^2; analysis bookkeeping, not an experiment."""

@@ -8,6 +8,7 @@ throughout.  The golden grid on this path is in ``test_golden_traces.py``.
 """
 
 import ast
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -115,6 +116,32 @@ def test_figure_runs_never_build_the_dense_matrix():
     assert "matrix" not in vars(system)
 
 
+def peak_of_gradient(oracle, e):
+    """The gradient and the peak of the memory traced while it is computed."""
+    tracemalloc.start()
+    try:
+        g = deterministic_gradient(oracle, e)
+        return g, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def readings_bytes(system):
+    """Bytes of one deterministic gradient's (n_i, n_o, N) selector readings."""
+    return 8 * system.n_i * system.n_o * system.N
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_a_gradient_peaks_below_two_and_a_half_times_its_readings(figure_plant, rng, noisy):
+    """The readings, the noise and one input channel's FFT temporaries."""
+    noise = NoiseModel("gaussian", 0.05, seed=1) if noisy else NoiseModel()
+    oracle = PlantOracle(figure_plant, make_step_disturbance(100, 21), noise)
+    e, _, _ = oracle.run_trial(rng.standard_normal((21, 100)))  # the plant's spectrum is built here
+    g, peak = peak_of_gradient(oracle, e)
+    assert peak < 2.5 * readings_bytes(figure_plant)
+    assert np.isfinite(g).all()
+
+
 def test_long_trial_runs_from_the_markov_parameters(rng):
     """21x21 channels at N=1000: the dense operator would take 3.5 GB."""
     ss = generate_system(84, 21, 21, 0, feedthrough_gain=185)
@@ -135,16 +162,63 @@ def test_long_trial_runs_from_the_markov_parameters(rng):
     assert trace.records[-1].cost_true < trace.records[0].cost_true
     noisy = PlantOracle(system, make_step_disturbance(N, 21), NoiseModel("gaussian", 0.05, seed=1))
     e, _, _ = noisy.run_trial(trace.final_input.data.reshape(21, N))
-    tracemalloc.start()
-    try:
-        g = deterministic_gradient(noisy, e)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2 ** 20
+    g, peak = peak_of_gradient(noisy, e)
+    assert peak < 2.5 * readings_bytes(system)
     assert noisy.snapshot_count() == 1 + 441
     assert np.isfinite(g).all()
     assert "matrix" not in vars(system)
+
+
+def _send_gradient(system, r, noise, e, conn):
+    conn.send(deterministic_gradient(PlantOracle(system, r, noise), e))
+    conn.close()
+
+
+def test_noisy_gradients_still_run_in_a_forked_child(rng):
+    """The parent's noise worker thread does not exist in a forked child; the child gets its own."""
+    system = lift(generate_system(6, 8, 8, 4), 64)  # the golden grid's FFT plant
+    assert system._spectrum is not None
+    r = make_step_disturbance(64, 8)
+    noise = NoiseModel("gaussian", 0.1, seed=3)
+    e = rng.standard_normal((8, 64))
+    g = deterministic_gradient(PlantOracle(system, r, noise), e)  # starts the parent's worker
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_gradient, args=(system, r, noise, e, send))
+    child.start()
+    send.close()
+    try:
+        assert receive.poll(10), "the forked child sent no gradient within 10 s"
+        g_child = receive.recv()
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+    assert np.array_equal(g_child, g)
+
+
+def test_only_noisy_fft_selector_calls_start_the_noise_worker():
+    code = (
+        "import threading\n"
+        "import numpy as np\n"
+        "from cgilc import (NoiseModel, PlantOracle, deterministic_gradient, generate_system,\n"
+        "                   lift, make_step_disturbance)\n"
+        "def gradient(N, noise):\n"
+        "    system = lift(generate_system(6, 8, 8, 4), N)\n"
+        "    oracle = PlantOracle(system, make_step_disturbance(N, 8), noise)\n"
+        "    deterministic_gradient(oracle, np.ones((8, N)))\n"
+        "    print(system._spectrum is not None, threading.active_count())\n"
+        "gradient(32, NoiseModel('gaussian', 0.1, seed=1))\n"
+        "gradient(64, NoiseModel())\n"
+        "gradient(64, NoiseModel('gaussian', 0.1, seed=1))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cgilc.lifted.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.split("\n")[:3] == ["False 1", "True 1", "True 2"]
 
 
 def _dyadic_plant():
