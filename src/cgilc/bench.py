@@ -181,20 +181,22 @@ def summarize_trace(trace: RunTrace, noisy: bool) -> RunSummary:
     ``diverged`` is set when the last record's measured cost is above the
     first record's measured cost, whether or not the run is noisy.
     """
-    summary = RunSummary(label=trace.config.label, kind=trace.config.kind,
-                         run_seed=trace.config.seed, status="ok")
-    first = trace.records[0]
+    first, last = trace.records[0], trace.records[-1]
     initial = first.cost_measured if noisy else first.cost_true
-    summary.initial_cost = initial
-    for th in THRESHOLDS:
-        summary.experiments_to[th] = trace.experiments_to_cost(th * initial, measured=noisy)
-    last = trace.records[-1]
-    summary.final_cost_measured = last.cost_measured
-    summary.final_cost_true = last.cost_true
-    summary.diverged = last.cost_measured > first.cost_measured
-    summary.stop_reason = trace.stop_reason
-    summary.notes = trace.notes
-    return summary
+    experiments_to = dict.fromkeys(THRESHOLDS)
+    pending = list(THRESHOLDS)  # costs are >= 0, so a run reaches these in order
+    for rec in trace.records:
+        cost = rec.cost_measured if noisy else rec.cost_true
+        while pending and cost <= pending[0] * initial:
+            experiments_to[pending.pop(0)] = rec.experiments_cum
+        if not pending:
+            break
+    return RunSummary(
+        label=trace.config.label, kind=trace.config.kind, run_seed=trace.config.seed,
+        status="ok", initial_cost=initial, experiments_to=experiments_to,
+        final_cost_measured=last.cost_measured, final_cost_true=last.cost_true,
+        diverged=last.cost_measured > first.cost_measured,
+        stop_reason=trace.stop_reason, notes=trace.notes)
 
 
 def summary_to_csv(summaries: list[RunSummary]) -> str:

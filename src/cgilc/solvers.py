@@ -92,14 +92,6 @@ class RunTrace:
     stop_reason: str = ""
     notes: str = ""
 
-    def experiments_to_cost(self, threshold: float, measured: bool = False) -> int | None:
-        """Cumulative experiments at the first record with cost <= threshold."""
-        for rec in self.records:
-            cost = rec.cost_measured if measured else rec.cost_true
-            if cost <= threshold:
-                return rec.experiments_cum
-        return None
-
 
 def conjugation_coefficient(Jp_prev: np.ndarray, Jg_new: np.ndarray,
                             Jp_prev_sq: float) -> float:
