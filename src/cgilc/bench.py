@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, field, fields, replace
@@ -178,8 +179,8 @@ def summarize_trace(trace: RunTrace, noisy: bool) -> RunSummary:
 
     Thresholds are relative to the initial cost and evaluated on the true
     cost for noise-free runs, on the measured cost for noisy runs.
-    ``diverged`` is set when the last record's measured cost is above the
-    first record's measured cost, whether or not the run is noisy.
+    ``diverged`` is set when the last record's measured cost is not finite or
+    is above the first record's measured cost, whether or not the run is noisy.
     """
     first, last = trace.records[0], trace.records[-1]
     initial = first.cost_measured if noisy else first.cost_true
@@ -195,7 +196,8 @@ def summarize_trace(trace: RunTrace, noisy: bool) -> RunSummary:
         label=trace.config.label, kind=trace.config.kind, run_seed=trace.config.seed,
         status="ok", initial_cost=initial, experiments_to=experiments_to,
         final_cost_measured=last.cost_measured, final_cost_true=last.cost_true,
-        diverged=last.cost_measured > first.cost_measured,
+        diverged=(not math.isfinite(last.cost_measured)
+                  or last.cost_measured > first.cost_measured),
         stop_reason=trace.stop_reason, notes=trace.notes)
 
 

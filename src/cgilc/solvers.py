@@ -13,6 +13,7 @@ p regardless of how p was produced.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,9 +187,10 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
         row = (j, oracle.snapshot_count(), cost_measured, cost_true)
         if cost0_true is None:
             cost0_true = cost_true
-        if cost_true <= COST_TOL * cost0_true:
+        finite = math.isfinite(cost_measured)
+        if not finite or cost_true <= COST_TOL * cost0_true:
             trace.records.append(IterationRecord(*row, None, None, False))
-            trace.stop_reason = "cost_tol"
+            trace.stop_reason = "cost_tol" if finite else "non_finite"
             break
 
         if single:
@@ -270,8 +272,11 @@ def run_solver(oracle: PlantOracle, cfg: SolverConfig, budget: int | None = None
     conjugation coefficient); the J p of one iteration is reused by the next.
     Deterministic CG uses full selector-experiment gradients and the
     Fletcher-Reeves ratio; gradient descent uses tau = 0 with optimal or
-    decaying steps.  ``system`` is only needed for norm_optimal.  Raises
-    ValueError when ``budget`` cannot pay for the first iteration.
+    decaying steps.  An iterative run also stops, after recording that
+    trial with no step, once the true cost is COST_TOL of the first
+    (``cost_tol``) or the measured cost is inf or NaN (``non_finite``).
+    ``system`` is only needed for norm_optimal.  Raises ValueError when
+    ``budget`` cannot pay for the first iteration.
     """
     if cfg.kind != "norm_optimal":
         return _run_iterative(oracle, cfg, budget)

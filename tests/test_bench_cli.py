@@ -7,8 +7,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgilc import LiftedSystem, SolverConfig, StateSpace, generate_system, save_system
-from cgilc.bench import UsageError, run_benchmark, spec_from_json, summarize_trace
+from cgilc import (
+    LiftedSystem,
+    NoiseModel,
+    PlantOracle,
+    SolverConfig,
+    StateSpace,
+    generate_system,
+    lift,
+    make_step_disturbance,
+    run_solver,
+    save_system,
+)
+from cgilc.bench import (
+    UsageError,
+    run_benchmark,
+    spec_from_json,
+    summarize_trace,
+    summary_to_csv,
+)
 from cgilc.cli import main
 from cgilc.plotting import plot_traces
 from cgilc.solvers import IterationRecord, RunTrace
@@ -243,6 +260,20 @@ class TestSummaries:
         assert summarize_trace(diverging, noisy=True).diverged
         converging = synthetic_trace([1.0, 0.5, 0.1])
         assert not summarize_trace(converging, noisy=True).diverged
+
+    @pytest.mark.parametrize("last", [float("nan"), float("inf")])
+    def test_a_non_finite_last_cost_is_diverged(self, last):
+        assert summarize_trace(synthetic_trace([1.0, 0.5, last]), noisy=True).diverged
+
+    def test_a_run_whose_cost_overflows_is_diverged(self):
+        J = lift(generate_system(3, 2, 2, 1), 6)
+        oracle = PlantOracle(J, make_step_disturbance(J.N, J.n_o), NoiseModel())
+        cfg = SolverConfig("stoch_gd", max_iterations=60, step_mode="decaying", decay_a=1e120,
+                           seed=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            summary = summarize_trace(run_solver(oracle, cfg), noisy=False)
+        row = summary_to_csv([summary]).splitlines()[1]
+        assert row.split(",")[8:] == ["inf", "inf", "1", "non_finite", ""]
 
     def test_threshold_basis_true_vs_measured(self):
         cfg = SolverConfig("det_cg")

@@ -471,6 +471,22 @@ class TestDegenerateCases:
         assert len(trace.records) == 4
         assert oracle.snapshot_count() == trace.records[-1].experiments_cum == 12
 
+    @pytest.mark.parametrize("kind,budget,experiments", [("stoch_gd", None, 5),
+                                                         ("det_gd", 200, 11)])
+    def test_a_diverging_run_stops_at_its_first_non_finite_cost(self, kind, budget,
+                                                                  experiments):
+        # a decaying step of 1e120 overflows the input, and the third trial's cost is inf
+        oracle = fresh_oracle(lift(generate_system(3, 2, 2, 1), 6))
+        cfg = SolverConfig(kind, max_iterations=60, step_mode="decaying", decay_a=1e120, seed=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = run_solver(oracle, cfg, budget=budget)
+        assert trace.stop_reason == "non_finite"
+        assert len(trace.records) == 3
+        last = trace.records[-1]
+        assert last.cost_true == last.cost_measured == np.inf
+        assert (last.epsilon, last.tau, last.reset) == (None, None, False)
+        assert last.experiments_cum == oracle.snapshot_count() == experiments
+
 
 PLAN_GRID = [
     SolverConfig(kind, max_iterations=6, step_mode=step_mode, decay_a=decay_a,
