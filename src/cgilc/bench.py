@@ -226,8 +226,14 @@ def summary_to_csv(summaries: list[RunSummary]) -> str:
 
 
 def run_benchmark(spec: BenchmarkSpec, out_dir) -> BenchmarkResult:
-    """Execute every (solver, seed) run and write traces plus a summary."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Execute every (solver, seed) run and write traces plus a summary.
+
+    Raises UsageError if ``out_dir`` cannot be created.
+    """
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {out_dir}: {exc}") from exc
     noisy = spec.noise.active
     summaries: list[RunSummary] = []
     traces: list[RunTrace] = []

@@ -50,6 +50,8 @@ def main(argv=None) -> int:
                 save_system(args.out, ss, args.trial_length)
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
+            except OSError as exc:
+                raise UsageError(f"cannot write {args.out}: {exc}") from exc
             print(f"wrote {args.out}")
             return 0
         if args.command == "run":
@@ -65,6 +67,8 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
+            except OSError as exc:  # the traces' read errors are warnings
+                raise UsageError(f"cannot write {args.out}: {exc}") from exc
             for w in warnings:
                 print(f"warning: {w}", file=sys.stderr)
             print(f"wrote {args.out}")

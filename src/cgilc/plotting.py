@@ -79,6 +79,9 @@ def _load_series(path, normalize: bool):
     records = read_trace_csv(path)
     x = np.array([r.experiments_cum for r in records], dtype=float)
     y = np.array([r.cost_measured for r in records])
+    bad = ~np.isfinite(y)
+    if bad.any():
+        raise ValueError(f"non-finite cost at j={records[int(bad.argmax())].j}")
     if normalize and y[0] > 0:
         y = y / y[0]
     y = y.clip(min=COST_FLOOR)
@@ -88,7 +91,8 @@ def _load_series(path, normalize: bool):
 def plot_traces(csv_paths, out_path, normalize: bool = False) -> list[str]:
     """Render one polyline per readable trace; returns per-file warnings.
 
-    Raises ValueError if no trace could be read at all.
+    A file that cannot be read, or whose costs are not all finite, is
+    skipped with a warning.  Raises ValueError if no trace could be drawn.
     """
     series = []
     warnings = []

@@ -194,7 +194,8 @@ class TestRunBenchmark:
             assert s.status == "ok"
             assert os.path.exists(s.csv_path)
         assert os.path.exists(result.summary_path)
-        header = open(result.summary_path).readline().strip()
+        with open(result.summary_path) as fh:
+            header = fh.readline().strip()
         assert header.split(",")[:4] == ["label", "kind", "run_seed", "status"]
 
     def test_summary_keeps_stop_reason_notes_and_quoted_labels(self, tmp_path):
@@ -324,6 +325,17 @@ class TestPlot:
         assert len(warnings) == 1
         assert out.exists()
 
+    def test_non_finite_traces_warn_but_render_rest(self, tmp_path):
+        paths = [tmp_path / f"{name}.csv" for name in ("finite", "inf", "nan")]
+        for path, last in zip(paths, (1.0, float("inf"), float("nan"))):
+            write_trace(synthetic_trace([10.0, 5.0, last]), path)
+        out = tmp_path / "fig.svg"
+        warnings = plot_traces([str(p) for p in paths], out)
+        assert warnings == [f"skipping {paths[1]}: non-finite cost at j=3",
+                            f"skipping {paths[2]}: non-finite cost at j=3"]
+        svg = out.read_text()
+        assert svg.count("<polyline") == 1 and ">finite<" in svg
+
     def test_all_unreadable_raises(self, tmp_path):
         with pytest.raises(ValueError):
             plot_traces([str(tmp_path / "nope.csv")], tmp_path / "fig.svg")
@@ -373,6 +385,21 @@ class TestCli:
         fig = tmp_path / "fig.svg"
         assert main(["plot", "--out", str(fig), *csvs]) == 0
         assert fig.exists()
+
+    def test_gen_system_to_a_missing_directory_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "s.json"
+        assert main(["gen-system", "--states", "2", "--inputs", "1", "--outputs", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"usage error: cannot write {out}: ")
+
+    def test_run_into_a_file_is_usage_error(self, tmp_path, capsys):
+        spec_path = tmp_path / "bench.json"
+        spec_path.write_text(json.dumps(tiny_spec_doc()))
+        assert main(["run", "--spec", str(spec_path), "--out-dir", str(spec_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"usage error: cannot create output directory {spec_path}: ")
 
     def test_unreadable_spec_is_usage_error(self, tmp_path):
         assert main(["run", "--spec", str(tmp_path / "none.json"),
@@ -529,6 +556,14 @@ class TestCli:
         assert main(["plot", "--out", str(tmp_path / "f.svg"), str(good), str(missing)]) == 0
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"warning: skipping {missing}: ")
+
+    def test_plot_to_a_missing_directory_is_usage_error(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        write_trace(synthetic_trace([10.0, 1.0]), trace)
+        out = tmp_path / "missing" / "f.svg"
+        assert main(["plot", "--out", str(out), str(trace)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"usage error: cannot write {out}: ")
 
     def test_plot_all_missing_fails(self, tmp_path):
         assert main(["plot", "--out", str(tmp_path / "f.svg"),
