@@ -92,7 +92,8 @@ def plot_traces(csv_paths, out_path, normalize: bool = False) -> list[str]:
     """Render one polyline per readable trace; returns per-file warnings.
 
     A file that cannot be read, or whose costs are not all finite, is
-    skipped with a warning.  Raises ValueError if no trace could be drawn.
+    skipped with a warning.  Raises ValueError, holding every warning, if no
+    trace could be drawn.
     """
     series = []
     warnings = []
@@ -105,7 +106,7 @@ def plot_traces(csv_paths, out_path, normalize: bool = False) -> list[str]:
         label = os.path.splitext(os.path.basename(path))[0]
         series.append((label, x, y))
     if not series:
-        raise ValueError("no readable traces")
+        raise ValueError("; ".join(["no readable traces", *warnings]))
 
     x_max = max(float(x.max()) for _, x, _ in series)
     x_max = max(x_max, 1.0)

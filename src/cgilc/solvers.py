@@ -273,7 +273,7 @@ def run_solver(oracle: PlantOracle, cfg: SolverConfig, budget: int | None = None
     Deterministic CG uses full selector-experiment gradients and the
     Fletcher-Reeves ratio; gradient descent uses tau = 0 with optimal or
     decaying steps.  An iterative run also stops, after recording that
-    trial with no step, once the true cost is COST_TOL of the first
+    trial with no step, once the true cost falls to COST_TOL of the first
     (``cost_tol``) or the measured cost is inf or NaN (``non_finite``).
     ``system`` is only needed for norm_optimal.  Raises ValueError when
     ``budget`` cannot pay for the first iteration.

@@ -261,18 +261,15 @@ class TestSummaries:
         assert summarize_trace(diverging, noisy=True).diverged
         converging = synthetic_trace([1.0, 0.5, 0.1])
         assert not summarize_trace(converging, noisy=True).diverged
-
-    @pytest.mark.parametrize("last", [float("nan"), float("inf")])
-    def test_a_non_finite_last_cost_is_diverged(self, last):
-        assert summarize_trace(synthetic_trace([1.0, 0.5, last]), noisy=True).diverged
+        for last in (float("nan"), float("inf")):
+            assert summarize_trace(synthetic_trace([1.0, 0.5, last]), noisy=True).diverged
 
     def test_a_run_whose_cost_overflows_is_diverged(self):
         J = lift(generate_system(3, 2, 2, 1), 6)
         oracle = PlantOracle(J, make_step_disturbance(J.N, J.n_o), NoiseModel())
         cfg = SolverConfig("stoch_gd", max_iterations=60, step_mode="decaying", decay_a=1e120,
                            seed=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            summary = summarize_trace(run_solver(oracle, cfg), noisy=False)
+        summary = summarize_trace(run_solver(oracle, cfg), noisy=False)
         row = summary_to_csv([summary]).splitlines()[1]
         assert row.split(",")[8:] == ["inf", "inf", "1", "non_finite", ""]
 
@@ -564,6 +561,14 @@ class TestCli:
         assert main(["plot", "--out", str(out), str(trace)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"usage error: cannot write {out}: ")
+
+    def test_plot_of_only_non_finite_traces_says_why(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        write_trace(synthetic_trace([10.0, float("inf")]), trace)
+        assert main(["plot", "--out", str(tmp_path / "f.svg"), str(trace)]) == 1
+        assert capsys.readouterr().err == (f"error: no readable traces; skipping {trace}: "
+                                           "non-finite cost at j=2\n")
+        assert not (tmp_path / "f.svg").exists()
 
     def test_plot_all_missing_fails(self, tmp_path):
         assert main(["plot", "--out", str(tmp_path / "f.svg"),

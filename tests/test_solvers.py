@@ -478,8 +478,7 @@ class TestDegenerateCases:
         # a decaying step of 1e120 overflows the input, and the third trial's cost is inf
         oracle = fresh_oracle(lift(generate_system(3, 2, 2, 1), 6))
         cfg = SolverConfig(kind, max_iterations=60, step_mode="decaying", decay_a=1e120, seed=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            trace = run_solver(oracle, cfg, budget=budget)
+        trace = run_solver(oracle, cfg, budget=budget)
         assert trace.stop_reason == "non_finite"
         assert len(trace.records) == 3
         last = trace.records[-1]
