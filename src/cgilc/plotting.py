@@ -7,6 +7,7 @@ involved.  Curves show log10(cost) against cumulative experiments.
 
 from __future__ import annotations
 
+import html
 import math
 import os
 
@@ -59,6 +60,7 @@ class _Canvas:
 
     def text(self, x, y, s, size=13, anchor="middle", rotate=None):
         transform = f' transform="rotate(-90 {_f(x)} {_f(y)})"' if rotate else ""
+        s = html.escape(s, quote=False)  # a legend label is a file name and may hold & or <
         self.add(f'<text x="{_f(x)}" y="{_f(y)}" font-size="{size}" '
                  f'font-family="sans-serif" text-anchor="{anchor}"{transform}>{s}</text>')
 

@@ -23,9 +23,15 @@ from .lifted import LiftedSystem, Signal, check_integer, check_real
 from .oracle import PlantOracle
 from .rng import MASK_STREAM, stream
 
-SOLVER_KINDS = ("stoch_cg", "det_cg", "stoch_gd", "det_gd", "norm_optimal")
-STEP_MODES = ("optimal_line_search", "decaying")
-ESTIMATORS = ("single", "full")
+# kind: (default estimator, conjugation rule, the optional settings it reads).  stoch_cg
+# reads no step_mode: it conjugates against the J p of the previous line search.
+KINDS = {"stoch_cg": ("single", "measured", ("reset_period", "estimator")),
+         "det_cg": ("full", "fletcher_reeves", ("reset_period", "estimator", "step_mode")),
+         "stoch_gd": ("single", None, ("estimator", "step_mode")),
+         "det_gd": ("full", None, ("estimator", "step_mode")),
+         "norm_optimal": (None, None, ())}
+SOLVER_KINDS = tuple(KINDS)
+STEP_MODES = {"optimal_line_search": (), "decaying": ("decay_a", "decay_gamma")}  # settings read
 EPS_DENOMINATOR_TOL = 1e-14  # ||Jp||^2 below this share of ||p||^2 ||J||^2 is degenerate
 COST_TOL = 1e-16  # stop once the true cost falls below this share of the first
 
@@ -47,29 +53,25 @@ class SolverConfig:
     label: str = ""
 
     def __post_init__(self):
-        if self.kind not in SOLVER_KINDS:
-            raise ValueError(f"unknown solver kind {self.kind!r}")
-        if self.step_mode not in STEP_MODES:
-            raise ValueError(f"unknown step mode {self.step_mode!r}")
-        if self.kind == "stoch_cg" and self.step_mode != "optimal_line_search":
-            raise ValueError("stoch_cg conjugates against the J p of the previous line "
-                             "search, so it needs step_mode 'optimal_line_search'")
-        if self.step_mode != "decaying" and (self.decay_a is not None or self.decay_gamma != 1):
-            raise ValueError("decay_a and decay_gamma are read only under step_mode 'decaying'")
-        if self.reset_period is not None and self.kind not in ("stoch_cg", "det_cg"):
-            raise ValueError(f"reset_period is read only by the CG kinds, not {self.kind}")
-        if self.kind == "norm_optimal" and (self.step_mode != "optimal_line_search" or self.estimator):
-            raise ValueError("norm_optimal reads no step_mode, decay, estimator or reset_period")
+        for what, value, choices in (("solver kind", self.kind, SOLVER_KINDS),
+                                     ("step mode", self.step_mode, tuple(STEP_MODES)),
+                                     ("estimator", self.estimator, (None, "single", "full"))):
+            if value not in choices:  # a tuple, so an unhashable value is no TypeError
+                raise ValueError(f"unknown {what} {value!r}")
+        reads = KINDS[self.kind][2] + STEP_MODES[self.step_mode]
+        for name in ("reset_period", "estimator", "step_mode", "decay_a", "decay_gamma"):
+            if name not in reads and getattr(self, name) != self.__dataclass_fields__[name].default:
+                raise ValueError(f"neither {self.kind} nor step_mode {self.step_mode!r} reads {name}")
         check_integer("max_iterations", self.max_iterations, 1)
         if self.reset_period is not None:
             check_integer("reset_period", self.reset_period, 1)
         check_integer("seed", self.seed, 0)
-        if self.decay_a is not None and not check_real("decay_a", self.decay_a) > 0:
-            raise ValueError("decay_a must be > 0")
+        if self.decay_a is not None and not 0 < check_real("decay_a", self.decay_a) < math.inf:
+            raise ValueError("decay_a must be finite and > 0")
         if not 0.5 < check_real("decay_gamma", self.decay_gamma) <= 1.0:
             raise ValueError("decay_gamma must lie in (0.5, 1]")
-        if self.estimator is not None and self.estimator not in ESTIMATORS:
-            raise ValueError(f"unknown estimator {self.estimator!r}")
+        if not isinstance(self.label, str):
+            raise ValueError(f"label must be a string, got {self.label!r}")
         if not self.label:
             object.__setattr__(self, "label", self.kind)
 
@@ -147,9 +149,9 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
     replaces them.  f, p and g are the oracle's (n_i, N) arrays; a run's one
     :class:`Signal` is ``RunTrace.final_input``.
     """
-    is_cg = cfg.kind in ("stoch_cg", "det_cg")
-    estimator = cfg.estimator or ("full" if cfg.kind.startswith("det") else "single")
-    single = estimator == "single"
+    default_estimator, conjugation, _ = KINDS[cfg.kind]
+    is_cg = conjugation is not None
+    single = (cfg.estimator or default_estimator) == "single"
     optimal_mode = cfg.step_mode == "optimal_line_search"
     gradient_experiments = 1 if single else oracle.n_i * oracle.n_o
     mask_rng = stream(cfg.seed, MASK_STREAM)
@@ -176,7 +178,7 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
     for j in range(1, cfg.max_iterations + 1):
         conjugate = is_cg and j > 1 and (cfg.reset_period is None
                                          or (j - 1) % cfg.reset_period != 0)
-        probe_Jg = cfg.kind == "stoch_cg" and conjugate
+        probe_Jg = conjugation == "measured" and conjugate
         line_search = optimal_mode or decay_a is None
         planned = 1 + gradient_experiments + probe_Jg + line_search
         if _over_budget(oracle, budget, planned, j):

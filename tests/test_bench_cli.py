@@ -3,6 +3,7 @@ import json
 import os
 import re
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -135,12 +136,13 @@ class TestSpecParsing:
         ("spec", "seeds", 3, "seeds must be a JSON array"),
         ("spec", "seeds", "01", "seeds must be a JSON array"),
         ("spec", "solvers", [{"kind": "stoch_gd", "reset_period": 20}],
-         "reset_period is read only by the CG kinds"),
+         "neither stoch_gd nor step_mode 'optimal_line_search' reads reset_period"),
+        ("spec", "solvers", [{"kind": "stoch_gd", "label": 5}], "label must be a string"),
     ], ids=["empty_seeds", "no_system_source", "disturbance_kind", "no_budget", "no_solvers",
             "disturbance_string", "noise_list", "spec_seed", "noise_sigam", "step_amplitud",
             "system_laod", "generate_gain", "generate_and_load", "custom_without_path",
             "solver_string", "solvers_object", "seeds_int", "seeds_string",
-            "gd_reset_period"])
+            "gd_reset_period", "solver_label_int"])
     def test_malformed_spec_is_usage_error(self, section, field, value, match):
         doc = tiny_spec_doc()
         target = {"spec": doc, "noise": doc["noise"], "step": doc["disturbance"],
@@ -337,6 +339,22 @@ class TestPlot:
         with pytest.raises(ValueError):
             plot_traces([str(tmp_path / "nope.csv")], tmp_path / "fig.svg")
 
+    def test_legend_escapes_the_file_name(self, tmp_path):
+        path = tmp_path / "a&b<c>.csv"
+        write_trace(synthetic_trace([10.0, 1.0]), path)
+        out = tmp_path / "fig.svg"
+        plot_traces([str(path)], out)
+        texts = [t.text for t in ElementTree.parse(out).iter("{http://www.w3.org/2000/svg}text")]
+        assert "a&b<c>" in texts
+
+    def test_one_record_normalized_spans_a_decade(self, tmp_path):
+        path = tmp_path / "one.csv"
+        write_trace(synthetic_trace([7.0]), path)
+        out = tmp_path / "fig.svg"
+        plot_traces([str(path)], out, normalize=True)
+        svg = out.read_text()
+        assert ">1e0<" in svg and ">1e1<" in svg and "nan" not in svg.lower()
+
     def test_byte_deterministic(self, tmp_path):
         path = tmp_path / "t.csv"
         write_trace(synthetic_trace([100.0, 10.0, 1.0]), path)
@@ -497,7 +515,9 @@ class TestCli:
         ("step", "amplitude", "5", "amplitude must be a real number, got '5'"),
         ("generate", "feedthrough_gain", True, "feedthrough_gain must be a real number"),
         ("decaying", "decay_a", True, "decay_a must be a real number, got True"),
-        ("decaying", "decay_gamma", True, "decay_gamma must be a real number, got True")])
+        ("decaying", "decay_gamma", True, "decay_gamma must be a real number, got True"),
+        ("decaying", "decay_a", float("inf"), "decay_a must be finite and > 0"),
+        ("solver", "label", 5, "label must be a string, got 5")])
     def test_non_integer_count_or_seed_exits_2(self, tmp_path, capsys, section, field, value,
                                                message):
         doc = tiny_spec_doc()

@@ -196,6 +196,15 @@ class TestCounting:
         r = make_step_disturbance(J.N, J.n_o, 1.0).data
         assert c == pytest.approx(r @ r)
 
+    @pytest.mark.parametrize("space,dN,d_channels", [
+        ("output", 0, 0), ("input", 1, 0), ("input", 0, 1)])
+    def test_true_cost_rejects_a_signal_that_is_not_an_input(self, space, dN, d_channels):
+        J, oracle = make_oracle(n_i=2, n_o=3)
+        N, channels = J.N + dN, J.n_i + d_channels
+        f = Signal(np.zeros(N * channels), space, N, channels)
+        with pytest.raises(ValueError, match="not an input of this plant"):
+            oracle.true_cost(f)
+
     def test_true_cost_after_the_caller_writes_the_input_array(self, rng):
         # the signal holds its own copy, so writing the caller's array after the
         # trial cannot change the input that the trial's costs belong to

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -393,15 +395,22 @@ class TestConfigValidation:
         ({"max_iterations": 0}, "max_iterations"),
         ({"estimator": "half"}, "estimator"),
         ({"seed": -3}, "seed must be >= 0"),
-        ({"decay_a": 0.5}, "read only under step_mode 'decaying'"),
-        ({"reset_period": 2}, "reset_period is read only by the CG kinds"),
-        ({"kind": "det_gd", "reset_period": 2}, "reset_period is read only by the CG kinds"),
-        ({"kind": "norm_optimal", "estimator": "single"}, "norm_optimal reads no"),
-        ({"kind": "norm_optimal", "step_mode": "decaying", "decay_a": 0.1}, "norm_optimal reads no"),
-        ({"kind": "norm_optimal", "reset_period": 3}, "reset_period is read only by the CG kinds"),
+        ({"decay_a": 0.5}, "neither stoch_gd nor step_mode 'optimal_line_search' reads decay_a"),
+        ({"reset_period": 2},
+         "neither stoch_gd nor step_mode 'optimal_line_search' reads reset_period"),
+        ({"kind": "det_gd", "reset_period": 2},
+         "neither det_gd nor step_mode 'optimal_line_search' reads reset_period"),
+        ({"kind": "norm_optimal", "estimator": "single"},
+         "neither norm_optimal nor step_mode 'optimal_line_search' reads estimator"),
+        ({"kind": "norm_optimal", "step_mode": "decaying", "decay_a": 0.1},
+         "neither norm_optimal nor step_mode 'decaying' reads step_mode"),
+        ({"kind": "norm_optimal", "reset_period": 3},
+         "neither norm_optimal nor step_mode 'optimal_line_search' reads reset_period"),
+        ({"label": 5}, "label must be a string, got 5"),
     ], ids=["step_mode", "max_iterations", "estimator", "negative_seed",
             "decay_a_under_line_search", "stoch_gd_reset_period", "det_gd_reset_period",
-            "norm_optimal_estimator", "norm_optimal_step_mode", "norm_optimal_reset_period"])
+            "norm_optimal_estimator", "norm_optimal_step_mode", "norm_optimal_reset_period",
+            "label_int"])
     def test_rejects_bad_field(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             SolverConfig(**{"kind": "stoch_gd", **kwargs})
@@ -416,10 +425,14 @@ class TestConfigValidation:
             SolverConfig("stoch_gd", step_mode="decaying", decay_a=-1.0)
         with pytest.raises(ValueError):
             SolverConfig("stoch_gd", step_mode="decaying", decay_gamma=0.4)
+        for decay_a in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="decay_a must be finite and > 0"):
+                SolverConfig("stoch_gd", step_mode="decaying", decay_a=decay_a)
 
     def test_rejects_stoch_cg_without_line_search(self):
         for decay_a in (None, 0.1):
-            with pytest.raises(ValueError, match="optimal_line_search"):
+            with pytest.raises(ValueError, match="neither stoch_cg nor step_mode 'decaying' "
+                                                 "reads step_mode"):
                 SolverConfig("stoch_cg", step_mode="decaying", decay_a=decay_a)
 
     def test_kind_mismatch_guards(self):
