@@ -26,7 +26,7 @@ from .oracle import NoiseModel, PlantOracle
 from .rng import combine
 from .solvers import RunTrace, SolverConfig, run_solver
 from .sysgen import generate_system, make_step_disturbance
-from .traces import write_trace
+from .traces import trace_to_csv
 
 THRESHOLDS = (1e-1, 1e-2, 1e-3)
 
@@ -225,10 +225,20 @@ def summary_to_csv(summaries: list[RunSummary]) -> str:
     return buf.getvalue()
 
 
+def _write_output(path, text: str) -> None:
+    """Write ``text`` to ``path``; a path that cannot be written is a UsageError naming it."""
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def run_benchmark(spec: BenchmarkSpec, out_dir) -> BenchmarkResult:
     """Execute every (solver, seed) run and write traces plus a summary.
 
-    Raises UsageError if ``out_dir`` cannot be created.
+    Raises UsageError if ``out_dir`` cannot be created, or a trace or the
+    summary cannot be written.
     """
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -251,13 +261,12 @@ def run_benchmark(spec: BenchmarkSpec, out_dir) -> BenchmarkResult:
                     status=f"error: {exc}"))
                 continue
             path = os.path.join(out_dir, name + ".csv")
-            write_trace(trace, path)
+            _write_output(path, trace_to_csv(trace))
             summary = summarize_trace(trace, noisy)
             summary.run_seed = run_seed
             summary.csv_path = path
             summaries.append(summary)
             traces.append(trace)
     summary_path = os.path.join(out_dir, "summary.csv")
-    with open(summary_path, "w", newline="\n") as fh:
-        fh.write(summary_to_csv(summaries))
+    _write_output(summary_path, summary_to_csv(summaries))
     return BenchmarkResult(summaries, traces, summary_path)

@@ -47,10 +47,9 @@ def deterministic_gradient(oracle: PlantOracle, e: np.ndarray) -> np.ndarray:
     """Full gradient of the measured error e from n_i*n_o selector experiments.
 
     Channel pair (l, m) is isolated by a selector that routes time-reversed
-    error channel m into input channel l and reads output channel m; summing
-    those readings over m (:meth:`PlantOracle.probe_selectors`) reconstructs
-    -2 J^T e exactly when measurements are noise-free.  ``e`` has shape
-    (n_o, N) and the gradient shape (n_i, N).
+    error channel m into input channel l and reads output channel m; those
+    readings summed over m (:meth:`PlantOracle.probe_selectors`), reversed,
+    reconstruct -2 J^T e exactly when measurements are noise-free.  ``e`` has
+    shape (n_o, N) and the gradient shape (n_i, N).
     """
-    acc = oracle.probe_selectors(e[:, ::-1]).sum(axis=1)
-    return -2.0 * acc[:, ::-1]
+    return -2.0 * oracle.probe_selectors(e[:, ::-1])[:, ::-1]

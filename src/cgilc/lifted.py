@@ -8,9 +8,10 @@ row ``l`` of a ``(channels, N)`` array, the slice ``[l*N, (l+1)*N)`` flat.
 
 Large operators are applied by FFT block convolution of their Markov
 parameters (Golub & Van Loan, *Matrix Computations*, section 4.7), small ones
-by the dense product; see :meth:`LiftedSystem.product` and, for the
-deterministic gradient's experiments, :meth:`LiftedSystem.selector_responses`.
-The dense matrix is built only when something asks for it.
+by the dense product; see :meth:`LiftedSystem.product` and, for the transpose
+J^T that also sums the deterministic gradient's selector experiments,
+:meth:`LiftedSystem.adjoint`.  The dense matrix is built only when something
+asks for it.
 """
 
 from __future__ import annotations
@@ -142,9 +143,9 @@ class LiftedSystem:
     """Lifted operator of a causal LTI plant over a trial of N samples.
 
     The plant is held as its first N Markov parameters, ``markov[k]`` being
-    the ``n_o x n_i`` response at lag k.  :meth:`product` and
-    :meth:`selector_responses` apply the operator; ``matrix`` is its dense
-    form, built on first use.
+    the ``n_o x n_i`` response at lag k.  :meth:`product` applies the
+    operator and :meth:`adjoint` its transpose; ``matrix`` is its dense form,
+    built on first use.
     """
 
     markov: np.ndarray
@@ -213,29 +214,21 @@ class LiftedSystem:
         yf = np.matmul(self._spectrum, xf.T[:, :, None])  # (N+1, n_o, 1)
         return np.fft.irfft(yf[:, :, 0].T, n=2 * N, axis=1)[:, :N]
 
-    def selector_responses(self, te: np.ndarray) -> np.ndarray:
-        """Responses to the selector inputs, shape (n_i, n_o, N).
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """J^T y for one output y of shape (n_o, N); the result has shape (n_i, N).
 
-        ``R[l, m]`` is output channel m of J when ``te[m]`` (``te`` has shape
-        (n_o, N)) is applied on input channel l alone, the other inputs zero.
-        The dense branch multiplies all n_i*n_o selector inputs as the
-        columns of one matrix; the FFT branch convolves each ``te[m]`` with
-        the Markov parameters from every input to output m, one input
-        channel at a time, so that no temporary is as large as the result.
+        Dense ``matrix.T @ y`` for small operators.  For large ones
+        J^T = T J' T, T reversing each channel's samples and J' the block
+        transpose of J (block (l, m) of J' is block (m, l) of J, itself causal
+        Toeplitz): the block convolution by FFT with the spectrum's channel
+        axes swapped, a view.
         """
-        N, n_i, n_o = self.N, self.n_i, self.n_o
+        N = self.N
         if self._spectrum is None:
-            U = np.zeros((n_i, N, n_i, n_o))
-            for l in range(n_i):
-                U[l, :, l, :] = te.T
-            Y = self.matrix.dot(U.reshape(N * n_i, n_i * n_o)).reshape(n_o, N, n_i, n_o)
-            return Y.diagonal(axis1=0, axis2=3).transpose(1, 2, 0)
-        tf = np.fft.rfft(te, n=2 * N, axis=1)
-        spectrum = self._spectrum.transpose(2, 1, 0)  # (n_i, n_o, N+1)
-        R = np.empty((n_i, n_o, N))
-        for l in range(n_i):
-            R[l] = np.fft.irfft(spectrum[l] * tf, n=2 * N, axis=1)[:, :N]
-        return R
+            return self.matrix.T.dot(y.reshape(-1)).reshape(self.n_i, N)
+        yf = np.fft.rfft(y[:, ::-1], n=2 * N, axis=1)
+        xf = np.matmul(self._spectrum.transpose(0, 2, 1), yf.T[:, :, None])  # (N+1, n_i, 1)
+        return np.fft.irfft(xf[:, :, 0].T, n=2 * N, axis=1)[:, N - 1::-1]
 
 
 def markov_parameters(ss: StateSpace, N: int) -> np.ndarray:

@@ -4,35 +4,20 @@ Solvers never touch the lifted matrix directly: every evaluation of the
 plant goes through :class:`PlantOracle`, which counts it as one experiment
 and optionally corrupts the measured output with Gaussian noise.  This is
 the simulation stand-in for running a physical trial; the plant is applied
-through :meth:`LiftedSystem.product`, and the deterministic gradient's
-selector experiments through :meth:`LiftedSystem.selector_responses`.
+through :meth:`LiftedSystem.product`.  The deterministic gradient reads only
+the per-input sums of its selector experiments, so those are simulated as one
+:meth:`LiftedSystem.adjoint` apply, with noise drawn for the sums alone.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lifted import LiftedSystem, Signal, check_integer, check_real
 from .rng import NOISE_STREAM, stream
-
-# Draws the normals of noisy FFT-branch selector calls while the calling thread
-# computes their responses.  Its thread starts on the first such call; a forked
-# child gets an executor of its own, since the parent's thread does not exist
-# there and work handed to it would never run.
-_noise_worker = ThreadPoolExecutor(max_workers=1)
-
-
-def _renew_noise_worker():
-    global _noise_worker
-    _noise_worker = ThreadPoolExecutor(max_workers=1)
-
-
-os.register_at_fork(after_in_child=_renew_noise_worker)
 
 
 @dataclass(frozen=True)
@@ -63,12 +48,13 @@ class PlantOracle:
     Experiments take and return channel-major arrays: inputs (n_i, N),
     outputs (n_o, N); another input shape raises ValueError before it is
     counted.  Only the disturbance and :meth:`true_cost`'s input are
-    :class:`Signal` objects.  Each measured sample carries its own
-    N(0, sigma^2) draw from the noise stream, taken in call order for exactly
-    the samples a call returns.  ``N``, ``n_i`` and ``n_o`` are the plant's
-    trial length and channel counts.  Single-owner mutable state (experiment
-    counter, noise stream and the selector noise array); do not share one
-    oracle between concurrent solver runs.
+    :class:`Signal` objects.  Each returned sample that sums k readings
+    carries one N(0, k sigma^2) draw from the noise stream, taken in call
+    order for exactly the samples a call returns; every sample but those of
+    :meth:`probe_selectors` is one reading.  ``N``, ``n_i`` and ``n_o`` are
+    the plant's trial length and channel counts.  Single-owner mutable state
+    (experiment counter and noise stream); do not share one oracle between
+    concurrent solver runs.
     """
 
     def __init__(self, system: LiftedSystem, disturbance: Signal,
@@ -82,22 +68,18 @@ class PlantOracle:
         self._sigma = noise.sigma
         self._rng = stream(noise.seed, NOISE_STREAM)
         self._count = 0
-        # The FFT branch's selector noise, drawn anew into the same array on
-        # every call: a fresh one each call would fault in fresh pages.
-        self._selector_noise = None
 
     def snapshot_count(self) -> int:
         """Current experiment count; no side effects."""
         return self._count
 
-    def _measure(self, data: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
-        """data plus sigma times the normals z, drawn here unless given; z holds the result."""
+    def _measure(self, data: np.ndarray, readings: int = 1) -> np.ndarray:
+        """data plus the noise of samples that each sum ``readings`` readings."""
         if not self._sigma:
             return data
-        if z is None:
-            z = self._rng.standard_normal(data.shape)
-        z *= self._sigma
-        z += data  # data + sigma * z bit for bit: IEEE addition commutes
+        z = self._rng.standard_normal(data.shape)
+        z *= self._sigma * math.sqrt(readings)  # sigma itself for one reading
+        z += data  # data + scale * z bit for bit: IEEE addition commutes
         return z
 
     @staticmethod
@@ -128,36 +110,19 @@ class PlantOracle:
         return self._measure(self._system.product(u))
 
     def probe_selectors(self, te: np.ndarray) -> np.ndarray:
-        """The n_i*n_o selector experiments of the deterministic gradient.
+        """The n_i*n_o selector experiments of the deterministic gradient, summed per input.
 
         Experiment (l, m) applies ``te[m]`` (``te`` has shape (n_o, N)) on
-        input channel l alone, and only its output channel m is read;
-        ``R[l, m]`` is that reading, shape (n_i, n_o, N), with its own noise
-        on each sample.  Counts n_i*n_o experiments.  A noisy call draws
-        its n_i*n_o*N normals even if the responses fail; on the FFT branch
-        it draws them on a worker thread while it computes the responses,
-        with the values and order of an inline draw.
+        input channel l alone, and only its output channel m is read.  Row l
+        of the result, shape (n_i, N), is the sum over m of those readings,
+        ``T J^T T te`` with T the per-channel time reversal: one adjoint
+        apply.  Counts n_i*n_o experiments.  Each returned sample sums n_o
+        readings of independent N(0, sigma^2) noise, so it carries one
+        N(0, n_o sigma^2) draw: n_i*N normals per noisy call.
         """
         te = self._checked(te, (self.n_o, self.N), "selector signals")
         self._count += self.n_i * self.n_o
-        system = self._system
-        if not self._sigma:
-            return system.selector_responses(te)
-        shape = (self.n_i, self.n_o, self.N)
-        if system._spectrum is None:  # dense: the draw costs about what handing it over does
-            z = self._rng.standard_normal(shape)
-            return self._measure(system.selector_responses(te), z)
-        if self._selector_noise is None:
-            self._selector_noise = np.empty(shape)
-        z = self._selector_noise
-        draw = _noise_worker.submit(self._rng.standard_normal, out=z)
-        try:
-            R = system.selector_responses(te)
-        finally:
-            draw.result()
-        z *= self._sigma
-        R += z
-        return R
+        return self._measure(self._system.adjoint(te[:, ::-1])[:, ::-1], self.n_o)
 
     def true_cost(self, f: Signal) -> float:
         """Noise-free cost ||r - J f||^2; analysis bookkeeping, not an experiment."""

@@ -416,6 +416,17 @@ class TestCli:
         assert len(err) == 1
         assert err[0].startswith(f"usage error: cannot create output directory {spec_path}: ")
 
+    @pytest.mark.parametrize("blocked", ["00_stoch_cg_s0.csv", "summary.csv"])
+    def test_run_to_an_unwritable_output_is_usage_error(self, tmp_path, capsys, blocked):
+        spec_path = tmp_path / "bench.json"
+        spec_path.write_text(json.dumps(tiny_spec_doc()))
+        out_dir = tmp_path / "out"
+        (out_dir / blocked).mkdir(parents=True)  # a directory where the file should go
+        assert main(["run", "--spec", str(spec_path), "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"usage error: cannot write {out_dir / blocked}: ")
+
     def test_unreadable_spec_is_usage_error(self, tmp_path):
         assert main(["run", "--spec", str(tmp_path / "none.json"),
                      "--out-dir", str(tmp_path)]) == 2

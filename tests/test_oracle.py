@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import cgilc.lifted
-from cgilc import LiftedSystem, NoiseModel, PlantOracle, Signal, make_step_disturbance
+from cgilc import NoiseModel, PlantOracle, Signal, make_step_disturbance
 from cgilc.rng import NOISE_STREAM, stream
 from conftest import rel_err, small_system
 from reference import apply
@@ -125,35 +125,29 @@ class TestProbe:
         assert np.abs(mean).max() < 0.005
 
     @pytest.mark.parametrize("branch", ["dense", "structured"])
-    def test_probe_selectors_draw_one_noise_value_per_reading(self, monkeypatch, rng, branch):
-        if branch == "structured":  # the branch whose normals are drawn on the worker thread
+    def test_probe_selectors_draw_one_noise_value_per_summed_sample(self, monkeypatch, rng,
+                                                                    branch):
+        if branch == "structured":
             monkeypatch.setattr(cgilc.lifted, "STRUCTURED_MIN_ENTRIES", 0)
         sigma, seed, calls = 0.3, 17, 100
-        J, noisy = make_oracle(seed=4, noise=NoiseModel("gaussian", sigma, seed=seed), n_i=3)
-        _, clean = make_oracle(seed=4, n_i=3)
+        J, noisy = make_oracle(seed=4, noise=NoiseModel("gaussian", sigma, seed=seed), n_o=3)
+        _, clean = make_oracle(seed=4, n_o=3)
         assert (J._spectrum is not None) == (branch == "structured")
         te = rng.standard_normal((J.n_o, J.N))
-        shape = (J.n_i, J.n_o, J.N)
+        shape = (J.n_i, J.N)
+        scale = sigma * np.sqrt(J.n_o)  # each sample sums the noise of n_o readings
         # the first call reads the stream's first normals, in C order
-        first = J.selector_responses(te) + sigma * stream(seed, NOISE_STREAM).standard_normal(shape)
+        first = clean.probe_selectors(te) + scale * stream(seed, NOISE_STREAM).standard_normal(shape)
         assert np.array_equal(noisy.probe_selectors(te), first)
         noise = np.stack([noisy.probe_selectors(te) - clean.probe_selectors(te)
                           for _ in range(calls)])
         assert noise.shape == (calls, *shape)
-        assert abs(noise.mean()) < 5 * sigma / np.sqrt(noise.size)
-        assert abs(noise.std() / sigma - 1) < 0.05
+        assert abs(noise.mean()) < 5 * scale / np.sqrt(noise.size)
+        assert abs(noise.std() / scale - 1) < 0.05
         assert noisy.snapshot_count() == (calls + 1) * J.n_i * J.n_o
-
-        def fail(self, te):
-            raise RuntimeError("apply failed")
-
-        # a call whose responses fail still takes its normals from the stream
-        monkeypatch.setattr(LiftedSystem, "selector_responses", fail)
-        with pytest.raises(RuntimeError, match="apply failed"):
-            noisy.probe_selectors(te)
-        # the stream advanced by exactly one normal per reading
+        # the stream advanced by exactly n_i*N normals per call
         skipped = stream(seed, NOISE_STREAM)
-        skipped.standard_normal((calls + 2) * noise[0].size)
+        skipped.standard_normal((calls + 1) * J.n_i * J.N)
         # the measurement of a zero input is the next noise draw
         assert np.array_equal(noisy.probe(zero_input(J)),
                               sigma * skipped.standard_normal((J.n_o, J.N)))

@@ -1,6 +1,6 @@
 """The structured (FFT block-convolution) apply of large lifted operators.
 
-``LiftedSystem.product`` and ``LiftedSystem.selector_responses`` apply
+``LiftedSystem.product`` and ``LiftedSystem.adjoint`` apply
 operators of at least ``STRUCTURED_MIN_ENTRIES`` entries by FFT convolution
 of their Markov parameters.  Small plants take that path here with the
 constant patched to 0; ``lifted.apply`` (the dense product) is the reference
@@ -24,7 +24,6 @@ from cgilc import (
     PlantOracle,
     Signal,
     SolverConfig,
-    StateSpace,
     deterministic_gradient,
     generate_system,
     lift,
@@ -35,6 +34,7 @@ from conftest import rel_err, simulate_response
 from reference import adjoint_apply, apply
 
 TOL = 1e-13
+ADJOINT_TOL = 1e-12
 
 SMALL_PLANTS = {
     "siso": lambda: lift(generate_system(3, 1, 1, 4), 16),
@@ -64,15 +64,6 @@ def check_products(system, rng):
         y = system.product(x.reshape(n_i, N))
         assert y.shape == ref.shape
         assert rel_err(y, ref) <= TOL
-    te = rng.standard_normal((n_o, N))
-    R = system.selector_responses(te)
-    assert R.shape == (n_i, n_o, N)
-    for l in range(n_i):
-        for m in range(n_o):
-            u = np.zeros((n_i, N))
-            u[l] = te[m]
-            ref = apply(system, Signal(u.reshape(-1), "input", N, n_i)).data.reshape(n_o, N)[m]
-            assert rel_err(R[l, m], ref) <= TOL
     oracle = PlantOracle(system, make_step_disturbance(N, n_o))
     e = rng.standard_normal((n_o, N))
     g = deterministic_gradient(oracle, e)
@@ -86,11 +77,48 @@ def test_structured_matches_dense(structured, rng, name):
     check_products(SMALL_PLANTS[name](), rng)
 
 
-def test_zero_plant_gives_exact_zeros(structured, rng):
+def check_adjoint(system, rng):
+    """<J x, y> = <x, J^T y>, and J^T y is the reference's dense transpose product."""
+    N, n_i, n_o = system.N, system.n_i, system.n_o
+    for _ in range(4):
+        x = rng.standard_normal((n_i, N))
+        y = rng.standard_normal((n_o, N))
+        Jty = system.adjoint(y)
+        assert Jty.shape == (n_i, N)
+        Jx = system.product(x)
+        scale = max(np.linalg.norm(Jx) * np.linalg.norm(y), 1e-300)
+        assert abs(np.vdot(Jx, y) - np.vdot(x, Jty)) <= ADJOINT_TOL * scale
+        ref = adjoint_apply(system, Signal(y, "output", N, n_o)).data.reshape(n_i, N)
+        assert rel_err(Jty, ref) <= ADJOINT_TOL
+
+
+@pytest.mark.parametrize("branch", ["dense", "structured"])
+@pytest.mark.parametrize("name", sorted(SMALL_PLANTS))
+def test_adjoint_is_the_transpose(monkeypatch, rng, name, branch):
+    if branch == "structured":
+        monkeypatch.setattr(cgilc.lifted, "STRUCTURED_MIN_ENTRIES", 0)
+    system = SMALL_PLANTS[name]()
+    assert (system._spectrum is not None) == (branch == "structured")
+    check_adjoint(system, rng)
+
+
+def test_figure_plant_adjoint_builds_no_dense_matrix(rng):
+    system = lift(generate_system(84, 21, 21, 0, feedthrough_gain=185), 100)
+    assert system._spectrum is not None
+    system.adjoint(rng.standard_normal((21, 100)))
+    assert "matrix" not in vars(system)
+    check_adjoint(system, rng)  # the reference builds it
+
+
+@pytest.mark.parametrize("branch", ["dense", "structured"])
+def test_zero_plant_gives_exact_zeros(monkeypatch, rng, branch):
+    if branch == "structured":
+        monkeypatch.setattr(cgilc.lifted, "STRUCTURED_MIN_ENTRIES", 0)
     system = SMALL_PLANTS["zero"]()
+    assert (system._spectrum is not None) == (branch == "structured")
     for x in rng.standard_normal((3, 2, 4)):
         assert not system.product(x).any()
-    assert not system.selector_responses(rng.standard_normal((2, 4))).any()
+        assert not system.adjoint(x).any()
 
 
 def test_figure_plant_is_structured_by_default(figure_plant, rng):
@@ -126,19 +154,19 @@ def peak_of_gradient(oracle, e):
         tracemalloc.stop()
 
 
-def readings_bytes(system):
-    """Bytes of one deterministic gradient's (n_i, n_o, N) selector readings."""
-    return 8 * system.n_i * system.n_o * system.N
+def gradient_bytes(system):
+    """Bytes of one (n_i, N) gradient."""
+    return 8 * system.n_i * system.N
 
 
 @pytest.mark.parametrize("noisy", [False, True])
-def test_a_gradient_peaks_below_two_and_a_half_times_its_readings(figure_plant, rng, noisy):
-    """The readings, the noise and one input channel's FFT temporaries."""
+def test_a_gradient_peaks_below_eight_times_its_own_size(figure_plant, rng, noisy):
+    """The adjoint's FFT temporaries, the noise and the gradient itself."""
     noise = NoiseModel("gaussian", 0.05, seed=1) if noisy else NoiseModel()
     oracle = PlantOracle(figure_plant, make_step_disturbance(100, 21), noise)
     e, _, _ = oracle.run_trial(rng.standard_normal((21, 100)))  # the plant's spectrum is built here
     g, peak = peak_of_gradient(oracle, e)
-    assert peak < 2.5 * readings_bytes(figure_plant)
+    assert peak < 8 * gradient_bytes(figure_plant)
     assert np.isfinite(g).all()
 
 
@@ -163,7 +191,7 @@ def test_long_trial_runs_from_the_markov_parameters(rng):
     noisy = PlantOracle(system, make_step_disturbance(N, 21), NoiseModel("gaussian", 0.05, seed=1))
     e, _, _ = noisy.run_trial(trace.final_input.data.reshape(21, N))
     g, peak = peak_of_gradient(noisy, e)
-    assert peak < 2.5 * readings_bytes(system)
+    assert peak < 8 * gradient_bytes(system)
     assert noisy.snapshot_count() == 1 + 441
     assert np.isfinite(g).all()
     assert "matrix" not in vars(system)
@@ -175,13 +203,13 @@ def _send_gradient(system, r, noise, e, conn):
 
 
 def test_noisy_gradients_still_run_in_a_forked_child(rng):
-    """The parent's noise worker thread does not exist in a forked child; the child gets its own."""
+    """A forked child draws the same noisy gradient as its parent."""
     system = lift(generate_system(6, 8, 8, 4), 64)  # the golden grid's FFT plant
     assert system._spectrum is not None
     r = make_step_disturbance(64, 8)
     noise = NoiseModel("gaussian", 0.1, seed=3)
     e = rng.standard_normal((8, 64))
-    g = deterministic_gradient(PlantOracle(system, r, noise), e)  # starts the parent's worker
+    g = deterministic_gradient(PlantOracle(system, r, noise), e)
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_send_gradient, args=(system, r, noise, e, send))
@@ -199,58 +227,26 @@ def test_noisy_gradients_still_run_in_a_forked_child(rng):
     assert np.array_equal(g_child, g)
 
 
-def test_only_noisy_fft_selector_calls_start_the_noise_worker():
-    code = (
-        "import threading\n"
-        "import numpy as np\n"
-        "from cgilc import (NoiseModel, PlantOracle, deterministic_gradient, generate_system,\n"
-        "                   lift, make_step_disturbance)\n"
-        "def gradient(N, noise):\n"
-        "    system = lift(generate_system(6, 8, 8, 4), N)\n"
-        "    oracle = PlantOracle(system, make_step_disturbance(N, 8), noise)\n"
-        "    deterministic_gradient(oracle, np.ones((8, N)))\n"
-        "    print(system._spectrum is not None, threading.active_count())\n"
-        "gradient(32, NoiseModel('gaussian', 0.1, seed=1))\n"
-        "gradient(64, NoiseModel())\n"
-        "gradient(64, NoiseModel('gaussian', 0.1, seed=1))\n"
-    )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cgilc.lifted.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.split("\n")[:3] == ["False 1", "True 1", "True 2"]
-
-
-def _dyadic_plant():
-    """n_x = 1 plant whose Markov parameters are small integers times powers of 1/2.
-
-    With integer inputs every product is exact in floating point, so any
-    summation order gives the same bits.
-    """
-    ss = StateSpace(A=[[0.5]], B=[[1.0, -2.0]], C=[[1.0], [3.0]], D=[[2.0, 0.0], [1.0, -1.0]])
-    return lift(ss, 8)
-
-
 @pytest.mark.parametrize("branch", ["dense", "structured"])
-def test_noise_free_probe_selectors_equal_sequential_probes(monkeypatch, rng, branch):
+def test_noise_free_probe_selectors_sum_single_probes(monkeypatch, rng, branch):
     if branch == "structured":
         monkeypatch.setattr(cgilc.lifted, "STRUCTURED_MIN_ENTRIES", 0)
-    system = _dyadic_plant()
+    system = SMALL_PLANTS["n_i3_n_o2"]()
     assert (system._spectrum is not None) == (branch == "structured")
-    oracle = PlantOracle(system, make_step_disturbance(8, 2))
-    te = rng.integers(-3, 4, size=(2, 8)).astype(float)
-    R = oracle.probe_selectors(te)
-    assert R.shape == (2, 2, 8) and R.any()
-    for l in range(2):
-        for m in range(2):
-            u = np.zeros((2, 8))
+    N, n_i, n_o = system.N, system.n_i, system.n_o
+    oracle = PlantOracle(system, make_step_disturbance(N, n_o))
+    te = rng.standard_normal((n_o, N))
+    sums = oracle.probe_selectors(te)
+    assert sums.shape == (n_i, N)
+    assert oracle.snapshot_count() == n_i * n_o
+    for l in range(n_i):
+        readings = []
+        for m in range(n_o):  # experiment (l, m): te[m] on input l alone, output m read
+            u = np.zeros((n_i, N))
             u[l] = te[m]
-            w = oracle.probe(u)[m]
-            if branch == "dense":  # exact: dyadic products in any summation order
-                assert np.array_equal(R[l, m], w)
-            else:
-                assert rel_err(R[l, m], w) <= TOL
-    assert oracle.snapshot_count() == 4 + 4
+            readings.append(oracle.probe(u)[m])
+        assert rel_err(sums[l], np.sum(readings, axis=0)) <= ADJOINT_TOL
+    assert oracle.snapshot_count() == 2 * n_i * n_o
 
 
 @pytest.mark.parametrize("noisy", [False, True])
