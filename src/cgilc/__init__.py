@@ -14,13 +14,9 @@ from .lifted import (
 from .defaults import default_noise_sigma
 from .oracle import NoiseModel, PlantOracle
 from .solvers import (
-    DegenerateDirectionError,
     IterationRecord,
     RunTrace,
     SolverConfig,
-    conjugation_coefficient,
-    fletcher_reeves_coefficient,
-    optimal_step,
     run_solver,
 )
 from .sysgen import generate_system, make_step_disturbance
@@ -28,7 +24,6 @@ from .sysgen import generate_system, make_step_disturbance
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegenerateDirectionError",
     "IterationRecord",
     "LiftedSystem",
     "LiftingError",
@@ -38,16 +33,13 @@ __all__ = [
     "Signal",
     "SolverConfig",
     "StateSpace",
-    "conjugation_coefficient",
     "default_noise_sigma",
     "deterministic_gradient",
-    "fletcher_reeves_coefficient",
     "generate_system",
     "lift",
     "load_system",
     "make_step_disturbance",
     "markov_parameters",
-    "optimal_step",
     "run_solver",
     "save_system",
     "stochastic_gradient",

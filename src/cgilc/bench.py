@@ -45,12 +45,18 @@ class BenchmarkSpec:
     seeds: tuple[int, ...]
 
     def __post_init__(self):
-        if self.budget <= 0:
-            raise UsageError("budget must be > 0")
+        try:
+            check_integer("budget", self.budget, 1)
+            for seed in self.seeds:
+                check_integer("seeds entry", seed, 0)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         if not self.solvers:
             raise UsageError("at least one solver is required")
         if not self.seeds:
             raise UsageError("at least one seed is required")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise UsageError(f"seeds must not repeat, got {list(self.seeds)}")
 
 
 def _object(doc, name: str) -> dict:
@@ -98,8 +104,7 @@ def _disturbance_from_json(doc, system: LiftedSystem) -> Signal:
     try:
         with open(path) as fh:
             dist = json.load(fh)
-        r = Signal(dist["data"], "output", check_integer("N", dist["N"]),
-                   check_integer("channels", dist["channels"]))
+        r = Signal(dist["data"], "output", dist["N"], dist["channels"])
     except KeyError as exc:
         raise UsageError(f"disturbance {path} lacks field {exc}") from exc
     except (OSError, TypeError, ValueError) as exc:
@@ -127,15 +132,14 @@ def spec_from_json(doc) -> BenchmarkSpec:
                 raise UsageError(f"{name} must be a JSON array, got {doc[name]!r}")
         names = [f.name for f in fields(SolverConfig)]
         solvers = tuple(SolverConfig(**_fields(s, "solver", ("kind",), names)) for s in doc["solvers"])
-        budget = check_integer("budget", doc["budget"])
-        seeds = tuple(check_integer("seeds entry", s, 0) for s in doc.get("seeds", [0]))
         system = _system_from_json(doc["system"])
         disturbance = _disturbance_from_json(doc.get("disturbance", {}), system)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, UsageError):
             raise
         raise UsageError(f"malformed spec: {exc}") from exc
-    return BenchmarkSpec(system, disturbance, noise, solvers, budget, seeds)
+    return BenchmarkSpec(system, disturbance, noise, solvers, doc["budget"],
+                         tuple(doc.get("seeds", [0])))
 
 
 def load_spec(path) -> BenchmarkSpec:

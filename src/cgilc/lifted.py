@@ -127,6 +127,8 @@ class Signal:
     def __init__(self, data, space: str, N: int, channels: int):
         if space not in ("input", "output"):
             raise ValueError(f"space must be 'input' or 'output', got {space!r}")
+        check_integer("N", N, 1)
+        check_integer("channels", channels, 1)
         data = np.array(data, dtype=float).reshape(-1)  # a copy: the caller's array stays its own
         if data.size != N * channels:
             raise ValueError(f"data length {data.size} != N*channels = {N * channels}")

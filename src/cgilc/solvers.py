@@ -24,20 +24,17 @@ from .oracle import PlantOracle
 from .rng import MASK_STREAM, stream
 
 # kind: (default estimator, conjugation rule, the optional settings it reads).  stoch_cg
-# reads no step_mode: it conjugates against the J p of the previous line search.
+# reads no step_mode: it conjugates against the J p of the previous line search.  A
+# gradient-descent kind reads no estimator: stoch_gd with "full" would be det_gd.
 KINDS = {"stoch_cg": ("single", "measured", ("reset_period", "estimator")),
          "det_cg": ("full", "fletcher_reeves", ("reset_period", "estimator", "step_mode")),
-         "stoch_gd": ("single", None, ("estimator", "step_mode")),
-         "det_gd": ("full", None, ("estimator", "step_mode")),
+         "stoch_gd": ("single", None, ("step_mode",)),
+         "det_gd": ("full", None, ("step_mode",)),
          "norm_optimal": (None, None, ())}
 SOLVER_KINDS = tuple(KINDS)
 STEP_MODES = {"optimal_line_search": (), "decaying": ("decay_a", "decay_gamma")}  # settings read
 EPS_DENOMINATOR_TOL = 1e-14  # ||Jp||^2 below this share of ||p||^2 ||J||^2 is degenerate
 COST_TOL = 1e-16  # stop once the true cost falls below this share of the first
-
-
-class DegenerateDirectionError(ZeroDivisionError):
-    """Search direction maps to (numerically) nothing through the plant."""
 
 
 @dataclass(frozen=True)
@@ -96,32 +93,31 @@ class RunTrace:
     notes: str = ""
 
 
-def conjugation_coefficient(Jp_prev: np.ndarray, Jg_new: np.ndarray,
-                            Jp_prev_sq: float) -> float:
+def _conjugation_coefficient(Jp_prev: np.ndarray, Jg_new: np.ndarray,
+                             Jp_prev_sq: float) -> float:
     """Coefficient tau making g_new + tau p_prev conjugate to p_prev under J^T J.
 
     Both arrays are measured plant responses and ``Jp_prev_sq`` is
-    ||Jp_prev||^2; no model knowledge enters.
+    ||Jp_prev||^2; no model knowledge enters.  The loop calls this only once
+    ``degenerate`` has ruled out a zero ``Jp_prev_sq``.
     """
-    if Jp_prev_sq <= 0.0:
-        raise DegenerateDirectionError("||J p_prev||^2 vanishes")
     return -float(np.vdot(Jp_prev, Jg_new)) / Jp_prev_sq
 
 
-def fletcher_reeves_coefficient(g_new_sq: float, g_old_sq: float) -> float:
-    """Classical ratio ||g_new||^2 / ||g_old||^2; valid for exact gradients only."""
-    if g_old_sq <= 0.0:
-        raise DegenerateDirectionError("||g_old||^2 vanishes")
+def _fletcher_reeves_coefficient(g_new_sq: float, g_old_sq: float) -> float:
+    """Classical ratio ||g_new||^2 / ||g_old||^2; valid for exact gradients only.
+
+    The loop calls this only with a positive ``g_old_sq``.
+    """
     return g_new_sq / g_old_sq
 
 
-def optimal_step(e: np.ndarray, Jp: np.ndarray, Jp_sq: float) -> float:
+def _optimal_step(e: np.ndarray, Jp: np.ndarray, Jp_sq: float) -> float:
     """Exact minimizer of ||r - J(f + eps p)||^2 over eps, from measured e and Jp.
 
-    ``Jp_sq`` is ||Jp||^2.
+    ``Jp_sq`` is ||Jp||^2.  The loop calls this only once ``degenerate`` has
+    ruled out a zero ``Jp_sq``.
     """
-    if Jp_sq <= 0.0:
-        raise DegenerateDirectionError("||J p||^2 vanishes")
     return float(np.vdot(e, Jp)) / Jp_sq
 
 
@@ -207,9 +203,9 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
             Jg_sq = float(np.vdot(Jg, Jg))
             observe(g_sq, Jg_sq)
             if not degenerate(p_sq, Jp_sq):
-                tau = conjugation_coefficient(Jp, Jg, Jp_sq)
+                tau = _conjugation_coefficient(Jp, Jg, Jp_sq)
         elif conjugate and g_prev_sq > 0.0:  # Fletcher-Reeves
-            tau = fletcher_reeves_coefficient(g_sq, g_prev_sq)
+            tau = _fletcher_reeves_coefficient(g_sq, g_prev_sq)
         p = g if tau is None else g + p * tau
 
         eps: float | None = None  # stays None when the direction is degenerate
@@ -221,7 +217,7 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
                 # the conjugated direction maps to nothing: step along g, whose J g is measured
                 p, Jp, p_sq, Jp_sq, tau = g, Jg, g_sq, Jg_sq, None
             if not degenerate(p_sq, Jp_sq):
-                eps = optimal_step(e, Jp, Jp_sq)
+                eps = _optimal_step(e, Jp, Jp_sq)
                 if not optimal_mode:
                     decay_a = abs(eps)  # anchor the schedule to the first measured step
         else:

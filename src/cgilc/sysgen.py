@@ -60,4 +60,6 @@ def make_step_disturbance(N: int, n_o: int, amplitude: float = 1.0) -> Signal:
     """Step of the given amplitude on every output channel, every sample."""
     if not np.isfinite(check_real("amplitude", amplitude)):
         raise ValueError("amplitude must be finite")
+    for name, value in (("N", N), ("n_o", n_o)):  # before np.full reads them as a size
+        check_integer(name, value, 1)
     return Signal(np.full(N * n_o, float(amplitude)), "output", N, n_o)

@@ -23,13 +23,13 @@ from cgilc import (
     generate_system,
     lift,
     make_step_disturbance,
-    optimal_step,
     run_solver,
     stochastic_gradient,
 )
 from cgilc.bench import BenchmarkSpec, run_benchmark, summarize_trace
 from cgilc.cli import main as cli_main
 from cgilc.rng import combine
+from cgilc.solvers import _optimal_step
 from reference import TimeReversal, adjoint_apply, apply, every_mask, time_reverse
 
 # ---------------------------------------------------------------------------
@@ -155,7 +155,7 @@ class TestCriterion3LineSearch:
             Jp = J.matrix @ p
             if Jp @ Jp == 0.0:
                 continue
-            eps = optimal_step(e, Jp, Jp @ Jp)
+            eps = _optimal_step(e, Jp, Jp @ Jp)
 
             def cost(step):
                 res = r - J.matrix @ (f + step * p)

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+from dataclasses import replace
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -138,11 +139,14 @@ class TestSpecParsing:
         ("spec", "solvers", [{"kind": "stoch_gd", "reset_period": 20}],
          "neither stoch_gd nor step_mode 'optimal_line_search' reads reset_period"),
         ("spec", "solvers", [{"kind": "stoch_gd", "label": 5}], "label must be a string"),
+        ("spec", "seeds", [3, 3], r"seeds must not repeat, got \[3, 3\]"),
+        ("spec", "solvers", [{"kind": "det_gd", "estimator": "single"}],
+         "neither det_gd nor step_mode 'optimal_line_search' reads estimator"),
     ], ids=["empty_seeds", "no_system_source", "disturbance_kind", "no_budget", "no_solvers",
             "disturbance_string", "noise_list", "spec_seed", "noise_sigam", "step_amplitud",
             "system_laod", "generate_gain", "generate_and_load", "custom_without_path",
             "solver_string", "solvers_object", "seeds_int", "seeds_string",
-            "gd_reset_period", "solver_label_int"])
+            "gd_reset_period", "solver_label_int", "repeated_seed", "gd_estimator"])
     def test_malformed_spec_is_usage_error(self, section, field, value, match):
         doc = tiny_spec_doc()
         target = {"spec": doc, "noise": doc["noise"], "step": doc["disturbance"],
@@ -153,6 +157,20 @@ class TestSpecParsing:
             target[field] = value
         with pytest.raises(UsageError, match=match):
             spec_from_json(doc)
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("budget", 2.5, "budget must be an integer, got 2.5"),
+        ("budget", True, "budget must be an integer, got True"),
+        ("budget", 0, "budget must be >= 1, got 0"),
+        ("seeds", (-1,), "seeds entry must be >= 0, got -1"),
+        ("seeds", (1.5,), "seeds entry must be an integer, got 1.5"),
+        ("seeds", (0, 0), r"seeds must not repeat, got \[0, 0\]"),
+    ], ids=["budget_float", "budget_bool", "budget_zero", "seed_negative", "seed_float",
+            "seed_repeated"])
+    def test_spec_built_directly_checks_its_counts(self, field, value, match):
+        spec = spec_from_json(tiny_spec_doc())
+        with pytest.raises(UsageError, match=match):
+            replace(spec, **{field: value})
 
     def test_readme_spec_parses(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text()
@@ -528,7 +546,9 @@ class TestCli:
         ("decaying", "decay_a", True, "decay_a must be a real number, got True"),
         ("decaying", "decay_gamma", True, "decay_gamma must be a real number, got True"),
         ("decaying", "decay_a", float("inf"), "decay_a must be finite and > 0"),
-        ("solver", "label", 5, "label must be a string, got 5")])
+        ("solver", "label", 5, "label must be a string, got 5"),
+        ("spec", "seeds", [3, 3], "seeds must not repeat, got [3, 3]"),
+        ("decaying", "estimator", "full", "neither det_gd nor step_mode 'decaying' reads estimator")])
     def test_non_integer_count_or_seed_exits_2(self, tmp_path, capsys, section, field, value,
                                                message):
         doc = tiny_spec_doc()

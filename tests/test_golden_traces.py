@@ -63,7 +63,7 @@ CONFIGS = {
     "det_gd": SolverConfig("det_gd", max_iterations=10),
     "det_gd_decay_anchor": SolverConfig("det_gd", max_iterations=10, step_mode="decaying",
                                         decay_gamma=0.8),
-    "det_gd_single": SolverConfig("det_gd", max_iterations=10, estimator="single", seed=6),
+    "stoch_gd_seed6": SolverConfig("stoch_gd", max_iterations=10, seed=6),
     "norm_optimal": SolverConfig("norm_optimal"),
 }
 

@@ -86,6 +86,16 @@ class TestSignal:
         with pytest.raises(ValueError):
             s.data[0] = 1.0
 
+    @pytest.mark.parametrize("N,channels,match", [
+        (0, 2, "N must be >= 1, got 0"),
+        (2, 0, "channels must be >= 1, got 0"),
+        (True, 2, "N must be an integer, got True"),
+        (2.0, 1, "N must be an integer, got 2.0"),
+    ])
+    def test_sizes_checked(self, N, channels, match):
+        with pytest.raises(ValueError, match=match):
+            Signal(np.zeros(int(N * channels)), "output", N, channels)
+
     def test_space_tag_checked(self):
         with pytest.raises(ValueError, match="space"):
             Signal(np.zeros(4), "sideways", N=4, channels=1)

@@ -7,10 +7,10 @@ from cgilc import (
     PlantOracle,
     Signal,
     make_step_disturbance,
-    optimal_step,
     stochastic_gradient,
 )
 from cgilc.gradients import _signs
+from cgilc.solvers import _optimal_step
 from conftest import small_system
 from reference import ChannelMixer, FixedBits, apply, time_reverse
 
@@ -65,7 +65,7 @@ def test_optimal_step_never_increases_cost(seed):
     Jp = J.matrix @ p
     if Jp @ Jp == 0.0:
         return
-    eps = optimal_step(e, Jp, Jp @ Jp)
+    eps = _optimal_step(e, Jp, Jp @ Jp)
     before = float(e @ e)
     res = r - J.matrix @ (f + eps * p)
     assert float(res @ res) <= before * (1 + 1e-12) + 1e-12

@@ -82,6 +82,16 @@ class TestStepDisturbance:
         trace = run_solver(oracle, SolverConfig("stoch_cg", max_iterations=10))
         assert len(trace.records) == 1
 
+    @pytest.mark.parametrize("N,n_o,match", [
+        (0, 2, "N must be >= 1, got 0"),
+        (True, 2, "N must be an integer, got True"),
+        (2.5, 2, "N must be an integer, got 2.5"),
+        (2, 1.5, "n_o must be an integer, got 1.5"),
+    ])
+    def test_rejects_bad_size(self, N, n_o, match):
+        with pytest.raises(ValueError, match=match):
+            make_step_disturbance(N, n_o)
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             make_step_disturbance(3, 1, float("nan"))
