@@ -93,13 +93,23 @@ class RunTrace:
     notes: str = ""
 
 
+def _degenerate(u_sq: float, w_sq: float, gain_sq: float) -> bool:
+    """Whether a direction of ||u||^2 = u_sq maps to ||J u||^2 = w_sq of (numerically) 0.
+
+    ``gain_sq`` is the loop's running lower bound on ||J||^2.  This is the
+    solver's one degeneracy rule: it guards every denominator of the
+    conjugation coefficient and of the optimal step.
+    """
+    return w_sq <= EPS_DENOMINATOR_TOL * u_sq * gain_sq or w_sq <= 0.0
+
+
 def _conjugation_coefficient(Jp_prev: np.ndarray, Jg_new: np.ndarray,
                              Jp_prev_sq: float) -> float:
     """Coefficient tau making g_new + tau p_prev conjugate to p_prev under J^T J.
 
     Both arrays are measured plant responses and ``Jp_prev_sq`` is
     ||Jp_prev||^2; no model knowledge enters.  The loop calls this only once
-    ``degenerate`` has ruled out a zero ``Jp_prev_sq``.
+    ``_degenerate`` has ruled out a zero ``Jp_prev_sq``.
     """
     return -float(np.vdot(Jp_prev, Jg_new)) / Jp_prev_sq
 
@@ -115,8 +125,8 @@ def _fletcher_reeves_coefficient(g_new_sq: float, g_old_sq: float) -> float:
 def _optimal_step(e: np.ndarray, Jp: np.ndarray, Jp_sq: float) -> float:
     """Exact minimizer of ||r - J(f + eps p)||^2 over eps, from measured e and Jp.
 
-    ``Jp_sq`` is ||Jp||^2.  The loop calls this only once ``degenerate`` has
-    ruled out a zero ``Jp_sq``.
+    ``Jp_sq`` is ||Jp||^2.  The loop calls this only once ``_degenerate``
+    has ruled out a zero ``Jp_sq``.
     """
     return float(np.vdot(e, Jp)) / Jp_sq
 
@@ -167,10 +177,6 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
         if u_sq > 0.0:
             gain_sq_est = max(gain_sq_est, w_sq / u_sq)
 
-    def degenerate(u_sq: float, w_sq: float) -> bool:
-        """Whether a direction of ||u||^2 = u_sq maps to ||J u||^2 = w_sq of (numerically) 0."""
-        return w_sq <= EPS_DENOMINATOR_TOL * u_sq * gain_sq_est or w_sq <= 0.0
-
     for j in range(1, cfg.max_iterations + 1):
         conjugate = is_cg and j > 1 and (cfg.reset_period is None
                                          or (j - 1) % cfg.reset_period != 0)
@@ -202,7 +208,7 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
             Jg = oracle.probe(g)
             Jg_sq = float(np.vdot(Jg, Jg))
             observe(g_sq, Jg_sq)
-            if not degenerate(p_sq, Jp_sq):
+            if not _degenerate(p_sq, Jp_sq, gain_sq_est):
                 tau = _conjugation_coefficient(Jp, Jg, Jp_sq)
         elif conjugate and g_prev_sq > 0.0:  # Fletcher-Reeves
             tau = _fletcher_reeves_coefficient(g_sq, g_prev_sq)
@@ -213,10 +219,10 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
             Jp = oracle.probe(p)
             p_sq, Jp_sq = float(np.vdot(p, p)), float(np.vdot(Jp, Jp))
             observe(p_sq, Jp_sq)
-            if probe_Jg and tau is not None and degenerate(p_sq, Jp_sq):
+            if probe_Jg and tau is not None and _degenerate(p_sq, Jp_sq, gain_sq_est):
                 # the conjugated direction maps to nothing: step along g, whose J g is measured
                 p, Jp, p_sq, Jp_sq, tau = g, Jg, g_sq, Jg_sq, None
-            if not degenerate(p_sq, Jp_sq):
+            if not _degenerate(p_sq, Jp_sq, gain_sq_est):
                 eps = _optimal_step(e, Jp, Jp_sq)
                 if not optimal_mode:
                     decay_a = abs(eps)  # anchor the schedule to the first measured step

@@ -15,7 +15,12 @@ from cgilc import (
 )
 from cgilc.gradients import _signs
 from cgilc.rng import MASK_STREAM, combine, stream
-from cgilc.solvers import _conjugation_coefficient, _fletcher_reeves_coefficient, _optimal_step
+from cgilc.solvers import (
+    _conjugation_coefficient,
+    _degenerate,
+    _fletcher_reeves_coefficient,
+    _optimal_step,
+)
 from conftest import rel_err, small_system
 
 
@@ -50,6 +55,13 @@ class TestCoefficients:
             bound = 1e-10 * np.sqrt((Jp @ Jp) * (Jp_new @ Jp_new))
             assert abs(Jp @ Jp_new) <= max(bound, 1e-300)
 
+    def test_conjugation_degenerate_denominator(self):
+        # the loop conjugates only against a J p_prev that is not zero next to
+        # ||p_prev||^2 times the gain estimate
+        assert _degenerate(1.0, 0.0, 0.0)
+        assert _degenerate(4.0, 1e-15 * 4.0 * 2.0, 2.0)
+        assert not _degenerate(4.0, 1e-13 * 4.0 * 2.0, 2.0)
+
     def test_fletcher_reeves_identity_and_zero(self, rng):
         g = rng.standard_normal(8)
         g_sq = g @ g
@@ -66,6 +78,12 @@ class TestOptimalStep:
     def test_zero_when_orthogonal(self):
         e, Jp = np.array([[1.0], [0.0]]), np.array([[0.0], [2.0]])
         assert _optimal_step(e, Jp, 4.0) == 0.0
+
+    @pytest.mark.parametrize("Jp_sq", [0.0, -1.0])
+    def test_degenerate_denominator(self, Jp_sq):
+        # no optimal step is taken along a direction whose ||J p||^2 is not positive
+        for p_sq, gain_sq in ((1.0, 0.0), (1.0, 3.0), (0.0, 0.0)):
+            assert _degenerate(p_sq, Jp_sq, gain_sq)
 
     def test_line_scan_minimality(self, rng):
         _, J = small_system(seed=2, n_i=2, n_o=2, N=6)
