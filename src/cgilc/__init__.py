@@ -3,7 +3,6 @@
 from .gradients import deterministic_gradient, stochastic_gradient
 from .lifted import (
     LiftedSystem,
-    LiftingError,
     Signal,
     StateSpace,
     lift,
@@ -26,7 +25,6 @@ __version__ = "0.1.0"
 __all__ = [
     "IterationRecord",
     "LiftedSystem",
-    "LiftingError",
     "NoiseModel",
     "PlantOracle",
     "RunTrace",

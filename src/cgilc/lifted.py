@@ -31,10 +31,6 @@ import numpy as np
 STRUCTURED_MIN_ENTRIES = 2 ** 18
 
 
-class LiftingError(ValueError):
-    """Lifted operator could not be constructed (unstable or malformed model)."""
-
-
 def check_integer(name: str, value, minimum: int | None = None) -> int:
     """``value`` if it is an integer (a bool is not) of at least ``minimum``.
 
@@ -158,7 +154,7 @@ class LiftedSystem:
             raise ValueError(f"Markov parameters must have shape (N >= 1, n_o >= 1, n_i >= 1), "
                              f"got {markov.shape}")
         if not np.isfinite(markov).all():
-            raise LiftingError("non-finite Markov parameters")
+            raise ValueError("non-finite Markov parameters")
         object.__setattr__(self, "markov", _freeze(markov))
 
     @property

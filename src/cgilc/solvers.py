@@ -23,11 +23,12 @@ from .lifted import LiftedSystem, Signal, check_integer, check_real
 from .oracle import PlantOracle
 from .rng import MASK_STREAM, stream
 
-# kind: (default estimator, conjugation rule, the optional settings it reads).  stoch_cg
-# reads no step_mode: it conjugates against the J p of the previous line search.  A
-# gradient-descent kind reads no estimator: stoch_gd with "full" would be det_gd.
+# kind: (default estimator, conjugation rule, the optional settings it reads).  A CG kind
+# reads no step_mode: it steps by its measured line search, whose J p stoch_cg conjugates
+# against and under which the Fletcher-Reeves ratio holds.  A gradient-descent kind reads
+# no estimator: stoch_gd with "full" would be det_gd.
 KINDS = {"stoch_cg": ("single", "measured", ("reset_period", "estimator")),
-         "det_cg": ("full", "fletcher_reeves", ("reset_period", "estimator", "step_mode")),
+         "det_cg": ("full", "fletcher_reeves", ("reset_period", "estimator")),
          "stoch_gd": ("single", None, ("step_mode",)),
          "det_gd": ("full", None, ("step_mode",)),
          "norm_optimal": (None, None, ())}
@@ -61,7 +62,7 @@ class SolverConfig:
                 raise ValueError(f"neither {self.kind} nor step_mode {self.step_mode!r} reads {name}")
         check_integer("max_iterations", self.max_iterations, 1)
         if self.reset_period is not None:
-            check_integer("reset_period", self.reset_period, 1)
+            check_integer("reset_period", self.reset_period, 2)  # 1 is gradient descent
         check_integer("seed", self.seed, 0)
         if self.decay_a is not None and not 0 < check_real("decay_a", self.decay_a) < math.inf:
             raise ValueError("decay_a must be finite and > 0")
@@ -96,11 +97,12 @@ class RunTrace:
 def _degenerate(u_sq: float, w_sq: float, gain_sq: float) -> bool:
     """Whether a direction of ||u||^2 = u_sq maps to ||J u||^2 = w_sq of (numerically) 0.
 
-    ``gain_sq`` is the loop's running lower bound on ||J||^2.  This is the
-    solver's one degeneracy rule: it guards every denominator of the
-    conjugation coefficient and of the optimal step.
+    ``gain_sq`` is the loop's running lower bound on ||J||^2.  A direction
+    whose u_sq is 0 (u = 0, or its square underflows) is degenerate too.  This
+    is the solver's one degeneracy rule: it guards every denominator of the
+    conjugation coefficients and of the optimal step.
     """
-    return w_sq <= EPS_DENOMINATOR_TOL * u_sq * gain_sq or w_sq <= 0.0
+    return w_sq <= EPS_DENOMINATOR_TOL * u_sq * gain_sq or w_sq <= 0.0 or u_sq <= 0.0
 
 
 def _conjugation_coefficient(Jp_prev: np.ndarray, Jg_new: np.ndarray,
@@ -117,7 +119,10 @@ def _conjugation_coefficient(Jp_prev: np.ndarray, Jg_new: np.ndarray,
 def _fletcher_reeves_coefficient(g_new_sq: float, g_old_sq: float) -> float:
     """Classical ratio ||g_new||^2 / ||g_old||^2; valid for exact gradients only.
 
-    The loop calls this only with a positive ``g_old_sq``.
+    Fletcher & Reeves (Comput. J. 7, 1964) derived it for exact line searches,
+    the only step det_cg takes.  The loop calls this only with a positive
+    ``g_old_sq``: under a line search a gradient of ||g||^2 = 0 gives a p of
+    ||p||^2 = 0, which ``_degenerate`` stops in that iteration.
     """
     return g_new_sq / g_old_sq
 
@@ -210,7 +215,7 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
             observe(g_sq, Jg_sq)
             if not _degenerate(p_sq, Jp_sq, gain_sq_est):
                 tau = _conjugation_coefficient(Jp, Jg, Jp_sq)
-        elif conjugate and g_prev_sq > 0.0:  # Fletcher-Reeves
+        elif conjugate:  # Fletcher-Reeves
             tau = _fletcher_reeves_coefficient(g_sq, g_prev_sq)
         p = g if tau is None else g + p * tau
 
@@ -226,8 +231,7 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
                 eps = _optimal_step(e, Jp, Jp_sq)
                 if not optimal_mode:
                     decay_a = abs(eps)  # anchor the schedule to the first measured step
-        else:
-            # descend along the (uphill) gradient direction
+        elif p.any():  # a gradient-descent run descends along the (uphill) gradient
             eps = -decay_a / float(j) ** cfg.decay_gamma
 
         # a CG iteration after the first that steps along g is a reset

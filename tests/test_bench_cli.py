@@ -142,11 +142,16 @@ class TestSpecParsing:
         ("spec", "seeds", [3, 3], r"seeds must not repeat, got \[3, 3\]"),
         ("spec", "solvers", [{"kind": "det_gd", "estimator": "single"}],
          "neither det_gd nor step_mode 'optimal_line_search' reads estimator"),
+        ("spec", "solvers", [{"kind": "det_cg", "step_mode": "decaying", "decay_a": 0.1}],
+         "neither det_cg nor step_mode 'decaying' reads step_mode"),
+        ("spec", "solvers", [{"kind": "det_cg", "reset_period": 1}],
+         "reset_period must be >= 2, got 1"),
     ], ids=["empty_seeds", "no_system_source", "disturbance_kind", "no_budget", "no_solvers",
             "disturbance_string", "noise_list", "spec_seed", "noise_sigam", "step_amplitud",
             "system_laod", "generate_gain", "generate_and_load", "custom_without_path",
             "solver_string", "solvers_object", "seeds_int", "seeds_string",
-            "gd_reset_period", "solver_label_int", "repeated_seed", "gd_estimator"])
+            "gd_reset_period", "solver_label_int", "repeated_seed", "gd_estimator",
+            "cg_decaying", "cg_reset_every_iteration"])
     def test_malformed_spec_is_usage_error(self, section, field, value, match):
         doc = tiny_spec_doc()
         target = {"spec": doc, "noise": doc["noise"], "step": doc["disturbance"],
@@ -548,7 +553,10 @@ class TestCli:
         ("decaying", "decay_a", float("inf"), "decay_a must be finite and > 0"),
         ("solver", "label", 5, "label must be a string, got 5"),
         ("spec", "seeds", [3, 3], "seeds must not repeat, got [3, 3]"),
-        ("decaying", "estimator", "full", "neither det_gd nor step_mode 'decaying' reads estimator")])
+        ("decaying", "estimator", "full", "neither det_gd nor step_mode 'decaying' reads estimator"),
+        ("spec", "solvers", [{"kind": "det_cg", "step_mode": "decaying"}],
+         "neither det_cg nor step_mode 'decaying' reads step_mode"),
+        ("solver", "reset_period", 1, "reset_period must be >= 2, got 1")])
     def test_non_integer_count_or_seed_exits_2(self, tmp_path, capsys, section, field, value,
                                                message):
         doc = tiny_spec_doc()

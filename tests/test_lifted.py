@@ -5,7 +5,6 @@ import pytest
 
 from cgilc import (
     LiftedSystem,
-    LiftingError,
     Signal,
     StateSpace,
     generate_system,
@@ -140,7 +139,7 @@ class TestLift:
     def test_nonfinite_markov_raises(self):
         ss = StateSpace(A=np.array([[0.5]]), B=np.array([[1e300]]),
                         C=np.array([[1e300]]), D=np.array([[0.0]]))
-        with np.errstate(over="ignore"), pytest.raises(LiftingError):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
             lift(ss, N=4)
 
     def test_requires_positive_length(self):
@@ -166,7 +165,7 @@ class TestLiftedSystem:
     def test_rejects_nonfinite_entries(self):
         markov = np.zeros((4, 2, 2))
         markov[2, 1, 0] = np.nan
-        with pytest.raises(LiftingError):
+        with pytest.raises(ValueError, match="non-finite"):
             LiftedSystem(markov)
 
     def test_dense_matrix_is_built_on_first_use(self):

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from cgilc import (
+    LiftedSystem,
     NoiseModel,
     PlantOracle,
     Signal,
@@ -163,22 +165,6 @@ class TestStochasticCg:
                 fresh_oracle(J), SolverConfig("stoch_cg", max_iterations=15, seed=seed))
             costs = [r.cost_true for r in trace.records]
             assert all(b <= a * (1 + 1e-12) for a, b in zip(costs, costs[1:]))
-
-    def test_reset_every_iteration_equals_gradient_descent(self):
-        _, J = small_system(seed=3, n_i=2, n_o=2, N=6)
-        noise = NoiseModel("gaussian", 0.05, seed=11)
-        cg = run_solver(
-            fresh_oracle(J, noise),
-            SolverConfig("stoch_cg", max_iterations=10, reset_period=1, seed=5))
-        gd = run_solver(
-            fresh_oracle(J, noise),
-            SolverConfig("stoch_gd", max_iterations=10, seed=5))
-        assert len(cg.records) == len(gd.records)
-        for rc, rg in zip(cg.records, gd.records):
-            assert rc.cost_measured == rg.cost_measured
-            assert rc.cost_true == rg.cost_true
-            assert rc.epsilon == rg.epsilon
-        assert np.array_equal(cg.final_input.data, gd.final_input.data)
 
     def test_deterministic_given_seed(self):
         _, J = small_system(seed=2)
@@ -393,6 +379,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig("stoch_cg", reset_period=0)
 
+    @pytest.mark.parametrize("kind", ["stoch_cg", "det_cg"])
+    def test_rejects_reset_every_iteration(self, kind):
+        # a CG run reset at every iteration walks gradient descent's iterates
+        with pytest.raises(ValueError, match="reset_period must be >= 2, got 1"):
+            SolverConfig(kind, reset_period=1)
+
     @pytest.mark.parametrize("kwargs,match", [
         ({"step_mode": "armijo"}, "step mode"),
         ({"max_iterations": 0}, "max_iterations"),
@@ -436,11 +428,55 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="decay_a must be finite and > 0"):
                 SolverConfig("stoch_gd", step_mode="decaying", decay_a=decay_a)
 
-    def test_rejects_stoch_cg_without_line_search(self):
+    @pytest.mark.parametrize("kind", ["stoch_cg", "det_cg"])
+    def test_rejects_cg_without_line_search(self, kind):
         for decay_a in (None, 0.1):
-            with pytest.raises(ValueError, match="neither stoch_cg nor step_mode 'decaying' "
+            with pytest.raises(ValueError, match=f"neither {kind} nor step_mode 'decaying' "
                                                  "reads step_mode"):
-                SolverConfig("stoch_cg", step_mode="decaying", decay_a=decay_a)
+                SolverConfig(kind, step_mode="decaying", decay_a=decay_a)
+
+    def test_accepted_settings_are_exactly_these(self):
+        """Accepting a new setting, or a new knob, means editing this list."""
+        grid = itertools.product(("stoch_cg", "det_cg", "stoch_gd", "det_gd", "norm_optimal"),
+                                 (None, 1, 2), ("optimal_line_search", "decaying"),
+                                 (None, 0.1), (1.0, 0.8), (None, "single", "full"))
+        accepted = set()
+        for kind, reset_period, step_mode, decay_a, decay_gamma, estimator in grid:
+            try:
+                SolverConfig(kind, reset_period=reset_period, step_mode=step_mode,
+                             decay_a=decay_a, decay_gamma=decay_gamma, estimator=estimator)
+            except ValueError:
+                continue
+            accepted.add((kind, reset_period, step_mode, decay_a, decay_gamma, estimator))
+        line_search = ("optimal_line_search", None, 1.0)
+        assert accepted == {
+            ("stoch_cg", None, *line_search, None),
+            ("stoch_cg", None, *line_search, "single"),
+            ("stoch_cg", None, *line_search, "full"),
+            ("stoch_cg", 2, *line_search, None),
+            ("stoch_cg", 2, *line_search, "single"),
+            ("stoch_cg", 2, *line_search, "full"),
+            ("det_cg", None, *line_search, None),
+            ("det_cg", None, *line_search, "single"),
+            ("det_cg", None, *line_search, "full"),
+            ("det_cg", 2, *line_search, None),
+            ("det_cg", 2, *line_search, "single"),
+            ("det_cg", 2, *line_search, "full"),
+            ("stoch_gd", None, *line_search, None),
+            ("stoch_gd", None, "decaying", None, 1.0, None),
+            ("stoch_gd", None, "decaying", None, 0.8, None),
+            ("stoch_gd", None, "decaying", 0.1, 1.0, None),
+            ("stoch_gd", None, "decaying", 0.1, 0.8, None),
+            ("det_gd", None, *line_search, None),
+            ("det_gd", None, "decaying", None, 1.0, None),
+            ("det_gd", None, "decaying", None, 0.8, None),
+            ("det_gd", None, "decaying", 0.1, 1.0, None),
+            ("det_gd", None, "decaying", 0.1, 0.8, None),
+            ("norm_optimal", None, *line_search, None),
+        }
+        assert SolverConfig.__dataclass_fields__.keys() == {
+            "kind", "max_iterations", "reset_period", "step_mode", "decay_a", "decay_gamma",
+            "seed", "estimator", "label"}
 
     def test_kind_mismatch_guards(self):
         _, J = small_system(seed=1)
@@ -449,13 +485,28 @@ class TestConfigValidation:
 
 
 class TestDegenerateCases:
-    def test_zero_plant_terminates_cleanly(self):
-        from cgilc import LiftedSystem
-        J = LiftedSystem(np.zeros((4, 2, 2)))
-        trace = run_solver(fresh_oracle(J),
-                           SolverConfig("stoch_cg", max_iterations=5, seed=0))
+    @pytest.mark.parametrize("cfg,experiments", [
+        (SolverConfig("stoch_cg", max_iterations=5, seed=0), 3),
+        (SolverConfig("det_cg", max_iterations=5), 6),
+        (SolverConfig("stoch_gd", max_iterations=50, step_mode="decaying", decay_a=0.1), 2),
+        (SolverConfig("det_gd", max_iterations=50, step_mode="decaying", decay_a=0.1), 5),
+    ], ids=["stoch_cg", "det_cg", "stoch_gd_fixed_decay", "det_gd_fixed_decay"])
+    def test_zero_plant_terminates_cleanly(self, cfg, experiments):
+        oracle = fresh_oracle(LiftedSystem(np.zeros((4, 2, 2))))
+        trace = run_solver(oracle, cfg)
         assert trace.stop_reason == "degenerate_direction"
+        assert len(trace.records) == 1
         assert trace.records[-1].epsilon is None
+        assert oracle.snapshot_count() == experiments
+
+    @pytest.mark.parametrize("kind", ["det_cg", "det_gd"])
+    def test_a_direction_whose_square_underflows_is_degenerate(self, kind):
+        # g = J^T e is about 1e-170, so ||g||^2 underflows to 0 while ||J g||^2 does not
+        J = LiftedSystem(np.array([[[1e20], [1e-190]]]))
+        oracle = PlantOracle(J, Signal([1e-190, 1.0], "output", 1, 2), NoiseModel())
+        trace = run_solver(oracle, SolverConfig(kind, max_iterations=6))
+        assert trace.stop_reason == "degenerate_direction"
+        assert len(trace.records) == 1
 
     def test_zero_disturbance_stops_at_first_iteration(self):
         _, J = small_system(seed=1)
@@ -515,7 +566,7 @@ PLAN_GRID = [
                                ("decaying", None))
     for reset_period in ((None, 2) if kind.endswith("cg") else (None,))
     for estimator in ((None, "single", "full") if kind.endswith("cg") else (None,))
-    if kind != "stoch_cg" or step_mode == "optimal_line_search"
+    if not kind.endswith("cg") or step_mode == "optimal_line_search"
 ]
 
 

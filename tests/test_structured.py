@@ -296,7 +296,7 @@ def test_structured_apply_imports_no_scipy():
 def test_public_api_is_exactly_this_list():
     """Re-exporting a name means editing this list; a helper only tests call stays private."""
     assert set(cgilc.__all__) == {
-        "IterationRecord", "LiftedSystem", "LiftingError", "NoiseModel", "PlantOracle",
+        "IterationRecord", "LiftedSystem", "NoiseModel", "PlantOracle",
         "RunTrace", "Signal", "SolverConfig", "StateSpace", "default_noise_sigma",
         "deterministic_gradient", "generate_system", "lift", "load_system",
         "make_step_disturbance", "markov_parameters", "run_solver", "save_system",
