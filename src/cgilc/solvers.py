@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gradients import deterministic_gradient, stochastic_gradient
+from .gradients import deterministic_gradient, mask_stream, stochastic_gradient
 from .lifted import LiftedSystem, Signal, check_integer, check_real
 from .oracle import PlantOracle
 from .rng import MASK_STREAM, stream
@@ -165,7 +165,7 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
     single = (cfg.estimator or default_estimator) == "single"
     optimal_mode = cfg.step_mode == "optimal_line_search"
     gradient_experiments = 1 if single else oracle.n_i * oracle.n_o
-    mask_rng = stream(cfg.seed, MASK_STREAM)
+    masks = mask_stream(stream(cfg.seed, MASK_STREAM), oracle.n_i, oracle.n_o)
 
     trace = RunTrace(config=cfg, stop_reason="max_iterations")
     f = np.zeros((oracle.n_i, oracle.N))
@@ -203,7 +203,7 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
             break
 
         if single:
-            g = stochastic_gradient(oracle, e, rng=mask_rng)
+            g = stochastic_gradient(oracle, e, masks)
         else:
             g = deterministic_gradient(oracle, e)
         g_sq = float(np.vdot(g, g)) if is_cg else None

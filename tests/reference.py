@@ -4,8 +4,8 @@ the gradient estimators apply.
 The package applies time reversal and channel mixing inline, on the measured
 arrays; these are the same maps written out as operators and as dense
 matrices, so the tests can check the estimators and the lifted operator
-against them.  :class:`FixedBits` stands in for the mask stream's generator,
-so a test can hand the stochastic gradient a chosen mask.
+against them.  :func:`every_mask` lists the masks that the stochastic
+gradient can draw, so a test can average it over all of them.
 """
 
 from __future__ import annotations
@@ -73,23 +73,7 @@ def time_reverse(x: Signal) -> Signal:
     return Signal(TimeReversal(x.N, x.channels)(x.data), x.space, x.N, x.channels)
 
 
-class FixedBits:
-    """Generator stub whose ``integers(0, 2, size)`` returns chosen 0/1 bits.
-
-    Passed as the stochastic gradient's ``rng``, it fixes the +-1 mask to
-    ``2 * bits - 1``; the bits are reshaped to the requested size.
-    """
-
-    def __init__(self, bits):
-        self.bits = np.asarray(bits)
-
-    def integers(self, low, high, size):
-        if (low, high) != (0, 2):
-            raise ValueError(f"FixedBits draws 0/1 bits only, not [{low}, {high})")
-        return self.bits.reshape(size)
-
-
 def every_mask(n_i: int, n_o: int):
-    """A :class:`FixedBits` for each of the 2^(n_i*n_o) masks of shape (n_i, n_o)."""
-    for bits in itertools.product((0, 1), repeat=n_i * n_o):
-        yield FixedBits(bits)
+    """Each of the 2^(n_i*n_o) +-1 masks of shape (n_i, n_o)."""
+    for signs in itertools.product((-1.0, 1.0), repeat=n_i * n_o):
+        yield np.reshape(signs, (n_i, n_o))

@@ -130,7 +130,7 @@ class TestCriterion2ExactUnbiasedness:
             acc = np.zeros((J.n_i, J.N))
             count = 0
             for mask in every_mask(J.n_i, J.n_o):
-                acc += stochastic_gradient(PlantOracle(J, r), e, mask)
+                acc += stochastic_gradient(PlantOracle(J, r), e, iter([mask]))
                 count += 1
             assert count == 2 ** pairs
             assert _rel_err(acc / count, det) < 1e-12

@@ -1,5 +1,7 @@
 """Property tests for the algebraic invariants."""
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -9,10 +11,10 @@ from cgilc import (
     make_step_disturbance,
     stochastic_gradient,
 )
-from cgilc.gradients import _signs
+from cgilc.gradients import mask_stream
 from cgilc.solvers import _optimal_step
 from conftest import small_system
-from reference import ChannelMixer, FixedBits, apply, time_reverse
+from reference import ChannelMixer, apply, time_reverse
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -76,11 +78,11 @@ def test_optimal_step_never_increases_cost(seed):
 def test_masked_gradient_scales_with_error(seed, alpha):
     _, J = small_system(seed=seed % 5, n_x=3, n_i=2, n_o=2, N=5)
     rng = np.random.default_rng(seed)
-    mask = FixedBits(rng.integers(0, 2, (2, 2)))
+    masks = itertools.repeat(rng.integers(0, 2, (2, 2)) * 2.0 - 1.0)
     e = rng.standard_normal((2, 5))
     r = make_step_disturbance(5, 2, 1.0)
-    g1 = stochastic_gradient(PlantOracle(J, r), e, mask)
-    g2 = stochastic_gradient(PlantOracle(J, r), alpha * e, mask)
+    g1 = stochastic_gradient(PlantOracle(J, r), e, masks)
+    g2 = stochastic_gradient(PlantOracle(J, r), alpha * e, masks)
     scale = max(np.abs(g1).max(), 1.0) * max(abs(alpha), 1.0)
     assert np.abs(g2 - alpha * g1).max() <= 1e-9 * scale
 
@@ -90,6 +92,6 @@ def test_masked_gradient_scales_with_error(seed, alpha):
 @settings(max_examples=40, deadline=None)
 def test_mask_expansion_matches_dense_kronecker(n_i, n_o, N, seed):
     rng = np.random.default_rng(seed)
-    mix = ChannelMixer(_signs(rng, n_i, n_o), N)
+    mix = ChannelMixer(next(mask_stream(rng, n_i, n_o)), N)
     v = rng.standard_normal(N * n_o)
     assert np.allclose(mix(v), mix.matrix() @ v, atol=1e-12)

@@ -15,7 +15,7 @@ from cgilc import (
     make_step_disturbance,
     run_solver,
 )
-from cgilc.gradients import _signs
+from cgilc.gradients import mask_stream
 from cgilc.rng import MASK_STREAM, combine, stream
 from cgilc.solvers import (
     _conjugation_coefficient,
@@ -519,7 +519,7 @@ class TestDegenerateCases:
         # a unit step leaves equal error channels, and the first mask of this
         # seed has rows that sum to zero: A T e = 0 would end the run at J0
         cfg = SolverConfig("stoch_gd", max_iterations=3, seed=combine(0, 0))
-        assert not _signs(stream(cfg.seed, MASK_STREAM), 2, 2).sum(axis=1).any()
+        assert not next(mask_stream(stream(cfg.seed, MASK_STREAM), 2, 2)).sum(axis=1).any()
         J = lift(generate_system(3, 2, 2, 1), 6)
         oracle = fresh_oracle(J)
         trace = run_solver(oracle, cfg)
