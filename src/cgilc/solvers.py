@@ -154,6 +154,8 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
 
     Each iteration plans its experiments once (trial, gradient, ``probe_Jg``,
     ``line_search``); the budget check and the loop body read the same plan.
+    An iteration whose direction is exactly zero (||p||^2 = 0) spends one
+    experiment less: its line search runs no probe, as J 0 = 0.
     Between iterations the loop carries one search state: the direction p
     and the J p, ||p||^2 and ||J p||^2 of the last line search, which the
     conjugation coefficient reads before this iteration's line search
@@ -221,8 +223,9 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
 
         eps: float | None = None  # stays None when the direction is degenerate
         if line_search:
-            Jp = oracle.probe(p)
-            p_sq, Jp_sq = float(np.vdot(p, p)), float(np.vdot(Jp, Jp))
+            p_sq = float(np.vdot(p, p))
+            Jp = oracle.probe(p) if p_sq > 0.0 else np.zeros((oracle.n_o, oracle.N))
+            Jp_sq = float(np.vdot(Jp, Jp))
             observe(p_sq, Jp_sq)
             if probe_Jg and tau is not None and _degenerate(p_sq, Jp_sq, gain_sq_est):
                 # the conjugated direction maps to nothing: step along g, whose J g is measured
