@@ -19,10 +19,8 @@ from .oracle import PlantOracle
 def mask_stream(rng: np.random.Generator, n_i: int, n_o: int) -> Iterator[np.ndarray]:
     """The i.i.d. +-1 masks of shape (n_i, n_o) that a run draws from ``rng``, in order.
 
-    Masks are drawn in blocks of max(1, 512 // (n_i*n_o)) per ``integers``
-    call, which yields the bits of one call per mask: a small plant's mask
-    costs no call of its own, and a 21x21 mask still comes one per call.  The
-    stream owns ``rng``; since it draws ahead, nothing else may draw from it.
+    One ``integers`` call draws max(1, 512 // (n_i*n_o)) masks, the same bits as
+    one call per mask.  The stream owns ``rng``: it draws ahead, so nothing else may.
     """
     size = (max(1, 512 // (n_i * n_o)), n_i, n_o)
     while True:
@@ -33,15 +31,14 @@ def stochastic_gradient(oracle: PlantOracle, e: np.ndarray,
                         masks: Iterator[np.ndarray]) -> np.ndarray:
     """Single-experiment gradient estimate -2 T A (J A T e) of the measured error e.
 
-    T reverses the samples of each channel and A mixes channels sample-wise
-    by a +-1 mask a (``a kron I_N``), the next of ``masks`` (shape (n_i,
-    n_o), e.g. from :func:`mask_stream`); the mean over all masks is the
-    gradient -2 J^T e.  A mask that makes A T e exactly zero while e is not
-    (a step disturbance leaves equal error channels) is replaced by the next
-    before the probe is spent.  Noise-free, such a mask would estimate zero,
-    so this conditions the estimate's mean to a positive multiple of the
+    T reverses the samples of each channel and A mixes channels sample-wise by
+    a +-1 mask a (``a kron I_N``), the next of ``masks``; the mean over all
+    masks is the gradient -2 J^T e.  A mask that makes A T e exactly zero while
+    e is not (a step disturbance leaves equal error channels) is replaced by
+    the next before the probe is spent.  Noise-free, such a mask would estimate
+    zero, so this conditions the estimate's mean to a positive multiple of the
     gradient; the line search removes the scale.  Uses exactly one probe
-    experiment.  ``e`` has shape (n_o, N) and the estimate shape (n_i, N).
+    experiment.  ``e`` has shape (n_o, N), a mask (n_i, n_o), the estimate (n_i, N).
     """
     te = e[:, ::-1]
     a = next(masks)

@@ -36,7 +36,8 @@ def check_integer(name: str, value, minimum: int | None = None) -> int:
 
     Otherwise a ValueError naming ``name``.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if type(value) is not int and (isinstance(value, bool)  # int first: it is the common case
+                                   or not isinstance(value, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")

@@ -100,8 +100,11 @@ class PlantOracle:
         self._count += 1
         Jf = self._system.product(f)
         e = self._r - self._measure(Jf)
-        d = self._r - Jf if self._sigma else e  # the noise-free error
-        return e, float(np.vdot(e, e)), float(np.vdot(d, d))
+        cost = float(np.vdot(e, e))
+        if not self._sigma:
+            return e, cost, cost
+        d = self._r - Jf  # the noise-free error
+        return e, cost, float(np.vdot(d, d))
 
     def probe(self, u: np.ndarray) -> np.ndarray:
         """Dedicated experiment measuring J u + noise, without the disturbance."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,8 +75,7 @@ class SolverConfig:
             object.__setattr__(self, "label", self.kind)
 
 
-@dataclass(frozen=True, slots=True)  # slots: a run keeps one record per iteration
-class IterationRecord:
+class IterationRecord(NamedTuple):  # a run keeps one record per iteration
     j: int
     experiments_cum: int
     cost_measured: float
@@ -153,9 +153,8 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
     """Shared loop behind the stochastic/deterministic CG and GD solvers.
 
     Each iteration plans its experiments once (trial, gradient, ``probe_Jg``,
-    ``line_search``); the budget check and the loop body read the same plan.
-    An iteration whose direction is exactly zero (||p||^2 = 0) spends one
-    experiment less: its line search runs no probe, as J 0 = 0.
+    ``line_search``); the budget check and the loop body read the same plan,
+    and the body spends one experiment less when its direction is exactly zero.
     Between iterations the loop carries one search state: the direction p
     and the J p, ||p||^2 and ||J p||^2 of the last line search, which the
     conjugation coefficient reads before this iteration's line search
@@ -177,12 +176,6 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
     gain_sq_est = 0.0  # running lower bound on ||J||^2 from probe responses
     cost0_true: float | None = None
     decay_a = cfg.decay_a
-
-    def observe(u_sq: float, w_sq: float):
-        """Raise the gain estimate by a probe of ||u||^2 = u_sq and ||J u||^2 = w_sq."""
-        nonlocal gain_sq_est
-        if u_sq > 0.0:
-            gain_sq_est = max(gain_sq_est, w_sq / u_sq)
 
     for j in range(1, cfg.max_iterations + 1):
         conjugate = is_cg and j > 1 and (cfg.reset_period is None
@@ -214,7 +207,8 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
         if probe_Jg:
             Jg = oracle.probe(g)
             Jg_sq = float(np.vdot(Jg, Jg))
-            observe(g_sq, Jg_sq)
+            if g_sq > 0.0:
+                gain_sq_est = max(gain_sq_est, Jg_sq / g_sq)
             if not _degenerate(p_sq, Jp_sq, gain_sq_est):
                 tau = _conjugation_coefficient(Jp, Jg, Jp_sq)
         elif conjugate:  # Fletcher-Reeves
@@ -223,10 +217,11 @@ def _run_iterative(oracle: PlantOracle, cfg: SolverConfig, budget: int | None) -
 
         eps: float | None = None  # stays None when the direction is degenerate
         if line_search:
-            p_sq = float(np.vdot(p, p))
-            Jp = oracle.probe(p) if p_sq > 0.0 else np.zeros((oracle.n_o, oracle.N))
-            Jp_sq = float(np.vdot(Jp, Jp))
-            observe(p_sq, Jp_sq)
+            p_sq, Jp, Jp_sq = float(np.vdot(p, p)), None, 0.0
+            if p_sq > 0.0:  # a zero direction spends no probe, as J 0 = 0
+                Jp = oracle.probe(p)
+                Jp_sq = float(np.vdot(Jp, Jp))
+                gain_sq_est = max(gain_sq_est, Jp_sq / p_sq)
             if probe_Jg and tau is not None and _degenerate(p_sq, Jp_sq, gain_sq_est):
                 # the conjugated direction maps to nothing: step along g, whose J g is measured
                 p, Jp, p_sq, Jp_sq, tau = g, Jg, g_sq, Jg_sq, None

@@ -30,25 +30,15 @@ def write_trace(trace: RunTrace, path) -> None:
 
 
 def read_trace_csv(path) -> list[IterationRecord]:
-    records = []
     with open(path) as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            j, exps, cm, ct, eps, tau, reset = line.split(",")
-            records.append(IterationRecord(
-                j=int(j),
-                experiments_cum=int(exps),
-                cost_measured=float(cm),
-                cost_true=float(ct),
-                epsilon=float(eps) if eps else None,
-                tau=float(tau) if tau else None,
-                reset=reset == "1",
-            ))
+        records = [IterationRecord(int(j), int(exps), float(cm), float(ct),
+                                   float(eps) if eps else None, float(tau) if tau else None,
+                                   reset == "1")
+                   for j, exps, cm, ct, eps, tau, reset in
+                   (line.split(",") for line in map(str.strip, fh) if line)]
     if not records:
         raise ValueError(f"{path}: no data rows")
     return records

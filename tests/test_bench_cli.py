@@ -70,10 +70,26 @@ class TestTraceCsv:
         assert back[0].tau is None and back[1].tau == -0.5
         assert back[0].cost_measured == 4.0
 
+    def test_records_are_immutable_and_compare_by_value(self):
+        rec = IterationRecord(1, 3, 2.0, 1.5, 0.25, None, False)
+        with pytest.raises(AttributeError):
+            rec.epsilon = 0.5
+        assert rec == IterationRecord(j=1, experiments_cum=3, cost_measured=2.0, cost_true=1.5,
+                                      epsilon=0.25, tau=None, reset=False)
+        assert rec != IterationRecord(1, 3, 2.0, 1.5, 0.25, None, True)
+
     def test_17_significant_digits(self):
         trace = synthetic_trace([1.0 / 3.0])
         line = trace_to_csv(trace).splitlines()[1]
         assert "3.3333333333333331e-01" in line
+
+    @pytest.mark.parametrize("row", ["1,2,3.0,3.0,,", "1,2,3.0,3.0,,,0,0", "1,x,3.0,3.0,,,0"],
+                             ids=["short", "long", "not_a_number"])
+    def test_rejects_a_malformed_row(self, tmp_path, row):
+        p = tmp_path / "bad.csv"
+        p.write_text(trace_to_csv(synthetic_trace([1.0])) + row + "\n")
+        with pytest.raises(ValueError):
+            read_trace_csv(p)
 
     def test_rejects_wrong_header(self, tmp_path):
         p = tmp_path / "bad.csv"

@@ -12,6 +12,7 @@ from cgilc import (
     load_system,
     save_system,
 )
+from cgilc.lifted import check_integer
 from conftest import rel_err, simulate_response, small_system
 from reference import TimeReversal, adjoint_apply, apply, time_reverse
 
@@ -312,3 +313,16 @@ class TestSerialization:
         doc = json.loads(path.read_text())
         assert set(doc) == {"n_x", "n_i", "n_o", "N", "A", "B", "C", "D"}
         assert doc["n_x"] == 3 and doc["n_i"] == 1 and doc["n_o"] == 2 and doc["N"] == 5
+
+
+class TestCheckInteger:
+    @pytest.mark.parametrize("value", [True, False, 3.0, "3", None])
+    def test_rejects_what_is_not_an_integer(self, value):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            check_integer("n", value)
+
+    @pytest.mark.parametrize("value", [3, np.int64(3)], ids=["int", "np_int64"])
+    def test_accepts_integers_and_applies_the_minimum(self, value):
+        assert check_integer("n", value, 3) is value
+        with pytest.raises(ValueError, match="n must be >= 4"):
+            check_integer("n", value, 4)
