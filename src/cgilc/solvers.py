@@ -27,7 +27,7 @@ from .rng import MASK_STREAM, stream
 # kind: (default estimator, conjugation rule, the optional settings it reads).  A CG kind
 # reads no step_mode: it steps by its measured line search, whose J p stoch_cg conjugates
 # against and under which the Fletcher-Reeves ratio holds.  A gradient-descent kind reads
-# no estimator: stoch_gd with "full" would be det_gd.
+# no estimator: stoch_gd with "full" would be det_gd.  A CG kind reads only the other one.
 KINDS = {"stoch_cg": ("single", "measured", ("reset_period", "estimator")),
          "det_cg": ("full", "fletcher_reeves", ("reset_period", "estimator")),
          "stoch_gd": ("single", None, ("step_mode",)),
@@ -61,6 +61,9 @@ class SolverConfig:
         for name in ("reset_period", "estimator", "step_mode", "decay_a", "decay_gamma"):
             if name not in reads and getattr(self, name) != self.__dataclass_fields__[name].default:
                 raise ValueError(f"neither {self.kind} nor step_mode {self.step_mode!r} reads {name}")
+        if self.estimator is not None and self.estimator == KINDS[self.kind][0]:
+            raise ValueError(f"{self.kind} uses the {self.estimator!r} estimator already; "
+                             "leave estimator unset")
         check_integer("max_iterations", self.max_iterations, 1)
         if self.reset_period is not None:
             check_integer("reset_period", self.reset_period, 2)  # 1 is gradient descent

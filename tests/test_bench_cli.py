@@ -158,6 +158,8 @@ class TestSpecParsing:
         ("spec", "seeds", [3, 3], r"seeds must not repeat, got \[3, 3\]"),
         ("spec", "solvers", [{"kind": "det_gd", "estimator": "single"}],
          "neither det_gd nor step_mode 'optimal_line_search' reads estimator"),
+        ("spec", "solvers", [{"kind": "stoch_cg", "estimator": "single"}],
+         "stoch_cg uses the 'single' estimator already; leave estimator unset"),
         ("spec", "solvers", [{"kind": "det_cg", "step_mode": "decaying", "decay_a": 0.1}],
          "neither det_cg nor step_mode 'decaying' reads step_mode"),
         ("spec", "solvers", [{"kind": "det_cg", "reset_period": 1}],
@@ -167,7 +169,7 @@ class TestSpecParsing:
             "system_laod", "generate_gain", "generate_and_load", "custom_without_path",
             "solver_string", "solvers_object", "seeds_int", "seeds_string",
             "gd_reset_period", "solver_label_int", "repeated_seed", "gd_estimator",
-            "cg_decaying", "cg_reset_every_iteration"])
+            "cg_own_estimator", "cg_decaying", "cg_reset_every_iteration"])
     def test_malformed_spec_is_usage_error(self, section, field, value, match):
         doc = tiny_spec_doc()
         target = {"spec": doc, "noise": doc["noise"], "step": doc["disturbance"],
@@ -572,7 +574,9 @@ class TestCli:
         ("decaying", "estimator", "full", "neither det_gd nor step_mode 'decaying' reads estimator"),
         ("spec", "solvers", [{"kind": "det_cg", "step_mode": "decaying"}],
          "neither det_cg nor step_mode 'decaying' reads step_mode"),
-        ("solver", "reset_period", 1, "reset_period must be >= 2, got 1")])
+        ("solver", "reset_period", 1, "reset_period must be >= 2, got 1"),
+        ("solver", "estimator", "single",
+         "stoch_cg uses the 'single' estimator already; leave estimator unset")])
     def test_non_integer_count_or_seed_exits_2(self, tmp_path, capsys, section, field, value,
                                                message):
         doc = tiny_spec_doc()

@@ -23,6 +23,7 @@ from cgilc.solvers import (
     _fletcher_reeves_coefficient,
     _optimal_step,
 )
+from cgilc.traces import trace_to_csv
 from conftest import rel_err, small_system
 
 
@@ -370,6 +371,24 @@ class TestNormOptimal:
         assert np.array_equal(trace.final_input.data, np.zeros(J.N * J.n_i))
 
 
+SETTING_FIELDS = ("kind", "reset_period", "step_mode", "decay_a", "decay_gamma", "estimator")
+
+
+def accepted_settings():
+    """The settings SolverConfig accepts on a grid of every field's telling values."""
+    grid = itertools.product(("stoch_cg", "det_cg", "stoch_gd", "det_gd", "norm_optimal"),
+                             (None, 1, 2), ("optimal_line_search", "decaying"),
+                             (None, 0.1), (1.0, 0.8), (None, "single", "full"))
+    accepted = []
+    for setting in grid:
+        try:
+            SolverConfig(**dict(zip(SETTING_FIELDS, setting)))
+        except ValueError:
+            continue
+        accepted.append(setting)
+    return accepted
+
+
 class TestConfigValidation:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -406,10 +425,15 @@ class TestConfigValidation:
          "neither stoch_gd nor step_mode 'optimal_line_search' reads estimator"),
         ({"kind": "det_gd", "estimator": "single", "step_mode": "decaying"},
          "neither det_gd nor step_mode 'decaying' reads estimator"),
+        ({"kind": "stoch_cg", "estimator": "single"},
+         "stoch_cg uses the 'single' estimator already; leave estimator unset"),
+        ({"kind": "det_cg", "reset_period": 2, "estimator": "full"},
+         "det_cg uses the 'full' estimator already; leave estimator unset"),
     ], ids=["step_mode", "max_iterations", "estimator", "negative_seed",
             "decay_a_under_line_search", "stoch_gd_reset_period", "det_gd_reset_period",
             "norm_optimal_estimator", "norm_optimal_step_mode", "norm_optimal_reset_period",
-            "label_int", "stoch_gd_estimator", "det_gd_estimator"])
+            "label_int", "stoch_gd_estimator", "det_gd_estimator", "stoch_cg_own_estimator",
+            "det_cg_own_estimator"])
     def test_rejects_bad_field(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             SolverConfig(**{"kind": "stoch_gd", **kwargs})
@@ -437,31 +461,16 @@ class TestConfigValidation:
 
     def test_accepted_settings_are_exactly_these(self):
         """Accepting a new setting, or a new knob, means editing this list."""
-        grid = itertools.product(("stoch_cg", "det_cg", "stoch_gd", "det_gd", "norm_optimal"),
-                                 (None, 1, 2), ("optimal_line_search", "decaying"),
-                                 (None, 0.1), (1.0, 0.8), (None, "single", "full"))
-        accepted = set()
-        for kind, reset_period, step_mode, decay_a, decay_gamma, estimator in grid:
-            try:
-                SolverConfig(kind, reset_period=reset_period, step_mode=step_mode,
-                             decay_a=decay_a, decay_gamma=decay_gamma, estimator=estimator)
-            except ValueError:
-                continue
-            accepted.add((kind, reset_period, step_mode, decay_a, decay_gamma, estimator))
         line_search = ("optimal_line_search", None, 1.0)
-        assert accepted == {
+        assert set(accepted_settings()) == {
             ("stoch_cg", None, *line_search, None),
-            ("stoch_cg", None, *line_search, "single"),
             ("stoch_cg", None, *line_search, "full"),
             ("stoch_cg", 2, *line_search, None),
-            ("stoch_cg", 2, *line_search, "single"),
             ("stoch_cg", 2, *line_search, "full"),
             ("det_cg", None, *line_search, None),
             ("det_cg", None, *line_search, "single"),
-            ("det_cg", None, *line_search, "full"),
             ("det_cg", 2, *line_search, None),
             ("det_cg", 2, *line_search, "single"),
-            ("det_cg", 2, *line_search, "full"),
             ("stoch_gd", None, *line_search, None),
             ("stoch_gd", None, "decaying", None, 1.0, None),
             ("stoch_gd", None, "decaying", None, 0.8, None),
@@ -477,6 +486,18 @@ class TestConfigValidation:
         assert SolverConfig.__dataclass_fields__.keys() == {
             "kind", "max_iterations", "reset_period", "step_mode", "decay_a", "decay_gamma",
             "seed", "estimator", "label"}
+
+    @pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel("gaussian", 0.05, 4)],
+                             ids=["noise_free", "noisy"])
+    def test_every_accepted_setting_names_a_distinct_run(self, noise):
+        J = lift(generate_system(4, 2, 2, 3, feedthrough_gain=1.0), 8)
+        settings, runs = accepted_settings(), set()
+        for setting in settings:
+            oracle = fresh_oracle(J, noise)
+            trace = run_solver(oracle, SolverConfig(**dict(zip(SETTING_FIELDS, setting)),
+                                                    max_iterations=6, seed=2), system=J)
+            runs.add((trace_to_csv(trace), oracle.snapshot_count(), trace.stop_reason))
+        assert len(runs) == len(settings) == 19
 
     def test_kind_mismatch_guards(self):
         _, J = small_system(seed=1)
@@ -575,7 +596,8 @@ PLAN_GRID = [
     for step_mode, decay_a in (("optimal_line_search", None), ("decaying", 0.05),
                                ("decaying", None))
     for reset_period in ((None, 2) if kind.endswith("cg") else (None,))
-    for estimator in ((None, "single", "full") if kind.endswith("cg") else (None,))
+    for estimator in ((None, "full") if kind == "stoch_cg" else
+                      (None, "single") if kind == "det_cg" else (None,))
     if not kind.endswith("cg") or step_mode == "optimal_line_search"
 ]
 
@@ -663,7 +685,7 @@ class TestOracleContract:
     @pytest.mark.parametrize("noisy", [False, True])
     @pytest.mark.parametrize("budget", [None, 23])
     @pytest.mark.parametrize("kind,estimator", [
-        *[(kind, estimator) for kind in ("stoch_cg", "det_cg") for estimator in ("single", "full")],
+        ("stoch_cg", None), ("stoch_cg", "full"), ("det_cg", "single"), ("det_cg", None),
         ("stoch_gd", None), ("det_gd", None), ("norm_optimal", None)])
     def test_experiments_seen_equal_the_count(self, kind, estimator, budget, noisy):
         _, J = small_system(seed=1, n_x=3, n_i=2, n_o=3, N=5)
