@@ -1,13 +1,21 @@
 """Verdicts of tools/bench_pairs.py on paired benchmark medians."""
 
+import json
 import os
 import sys
 
 import pytest
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                                "tools"))
-from bench_pairs import claim_verdict, quartiles, regression_verdict, summarize  # noqa: E402
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "tools"))
+from bench_pairs import (  # noqa: E402
+    claim_verdict,
+    main,
+    quartiles,
+    regression_verdict,
+    report,
+    summarize,
+)
 
 # sweep-small iter_ms.p50 of ten alternated pairs: the change wins 9 of 10, but its
 # median gap (0.0059 ms) is below the parent's interquartile range (0.0069 ms)
@@ -56,6 +64,28 @@ def test_summarize_counts_pairs_and_failed_runs():
     block = summarize(runs, [{"name": "iter_ms.p50", "better": "lower", "bound": 0.25}])
     s = block["sweep-small"]
     assert s["seeds"] == list(range(10))
-    assert s["failed_runs"] == {"parent": 0, "change": 1}
+    assert s["failed_runs"] == {"parent": [], "change": [10]}
     assert s["iter_ms.p50"]["change_better_pairs"] == 9
     assert (s["iter_ms.p50"]["claim"], s["iter_ms.p50"]["regression"]) == ("not met", "none")
+
+
+def test_a_failed_run_leaves_the_other_pairs_judged_and_fails_the_report(tmp_path, monkeypatch,
+                                                                          capsys):
+    def run(value):
+        return {"correct": True, "failed": 0, "metrics": {"solve_s": {"value": value}}}
+
+    runs = {"fig3-stoch": {
+        "parent": {str(s): run(1.0 + 0.01 * s) for s in range(10)},
+        "change": {**{str(s): run(2.0) for s in range(9)}, "9": {"correct": False}}}}
+    summary = summarize(runs, [{"name": "solve_s", "better": "lower", "bound": 0.25}])
+    s = summary["fig3-stoch"]["solve_s"]
+    assert (s["pairs"], s["regression"]) == (9, "regression")
+    assert "FAILED fig3-stoch seed 9 change" in report(summary).splitlines()
+
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps({"runs": runs}))
+    monkeypatch.chdir(ROOT)  # the report reads the bounds from BENCHMARK.json
+    assert main(["--report", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "FAILED fig3-stoch seed 9 change" in out
+    assert "regression (bound 0.25)" in out

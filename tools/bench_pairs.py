@@ -10,7 +10,12 @@ back to back, one process at a time: the ref first on even seeds, the
 working tree first on odd ones.  T is ``run_seconds`` from BENCHMARK.json.
 The JSON file is rewritten after every pair, so an interrupted session keeps
 the pairs it finished; ``--report FILE`` prints the verdicts of such a file
-again without running anything.
+again without running anything.  Either way the exit status is 1 when a run
+failed (one ``FAILED <workload> seed <s> <side>`` line each) or a metric
+reads ``regression``, else 0.
+
+Each metric is judged over the seeds on which both trees report it, and the
+report says how many pairs that is.
 
 For each workload and end-to-end metric the report gives both medians and
 quartiles, the pairs the change won and two verdicts:
@@ -84,6 +89,10 @@ def regression_verdict(parent: list[float], change: list[float], better: str,
     return "none"
 
 
+def _failed(result: dict) -> bool:
+    return not result.get("correct") or result.get("failed", 0) > 0
+
+
 def summarize(runs: dict, metrics: list[dict]) -> dict:
     """The summary block of every workload in ``runs`` ({workload: {side: {seed: result}}})."""
     summary = {}
@@ -91,14 +100,14 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
         seeds = sorted(set(sides["parent"]) & set(sides["change"]), key=int)
         block = {}
         for m in metrics:
-            values = {side: [sides[side][s]["metrics"][m["name"]]["value"] for s in seeds
-                             if m["name"] in sides[side][s].get("metrics", {})]
-                      for side in SIDES}
-            parent, change = values["parent"], values["change"]
-            if len(parent) != len(seeds) or len(change) != len(seeds) or len(seeds) < 2:
-                continue  # a failed run leaves no metric; failed_runs counts it
+            pairs = [s for s in seeds
+                     if all(m["name"] in sides[side][s].get("metrics", {}) for side in SIDES)]
+            if len(pairs) < 2:
+                continue
+            parent, change = ([sides[side][s]["metrics"][m["name"]]["value"] for s in pairs]
+                              for side in SIDES)
             block[m["name"]] = {
-                "parent": parent, "change": change,
+                "pairs": len(pairs), "parent": parent, "change": change,
                 "parent_median": statistics.median(parent),
                 "change_median": statistics.median(change),
                 "parent_quartiles": quartiles(parent),
@@ -110,18 +119,27 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
                 "bound": m["bound"],
             }
         block["seeds"] = [int(s) for s in seeds]
-        block["failed_runs"] = {side: sum(not r.get("correct") or r.get("failed", 0) > 0
-                                          for r in sides[side].values()) for side in SIDES}
+        block["failed_runs"] = {side: sorted(int(s) for s, r in sides[side].items() if _failed(r))
+                                for side in SIDES}
         summary[workload] = block
     return summary
+
+
+def failing(summary: dict) -> bool:
+    """Whether any run failed or any metric reads ``regression``."""
+    return any(any(block["failed_runs"].values())
+               or any(isinstance(s, dict) and s.get("regression") == "regression"
+                      for s in block.values())
+               for block in summary.values())
 
 
 def report(summary: dict) -> str:
     lines = []
     for workload, block in summary.items():
         seeds = block["seeds"]
-        lines.append(f"{workload}: {len(seeds)} pairs, seeds {seeds}, "
-                     f"failed runs {block['failed_runs']}")
+        lines.append(f"{workload}: {len(seeds)} pairs, seeds {seeds}")
+        lines.extend(f"FAILED {workload} seed {seed} {side}"
+                     for side in SIDES for seed in block["failed_runs"][side])
         lines.append(f"  {'metric':<20}{'parent median [q1, q3]':<36}"
                      f"{'change median [q1, q3]':<36}{'wins':<8}{'claim':<9}regression")
         for name, s in block.items():
@@ -130,7 +148,7 @@ def report(summary: dict) -> str:
             side = {k: f"{s[k + '_median']:.6g} [{s[k + '_quartiles'][0]:.6g}, "
                        f"{s[k + '_quartiles'][1]:.6g}]" for k in SIDES}
             lines.append(f"  {name:<20}{side['parent']:<36}{side['change']:<36}"
-                         f"{s['change_better_pairs']}/{len(seeds):<6}{s['claim']:<9}"
+                         f"{s['change_better_pairs']}/{s['pairs']:<6}{s['claim']:<9}"
                          f"{s['regression']} (bound {s['bound']})")
     return "\n".join(lines)
 
@@ -177,8 +195,9 @@ def main(argv=None) -> int:
         bench = json.load(fh)
     if args.report:
         with open(args.report) as fh:
-            print(report(summarize(json.load(fh)["runs"], bench["end_to_end"])))
-        return 0
+            summary = summarize(json.load(fh)["runs"], bench["end_to_end"])
+        print(report(summary))
+        return int(failing(summary))
     if not (args.ref and args.runs and args.out):
         parser.error("REF, --runs and --out are required unless --report is given")
 
@@ -223,7 +242,7 @@ def main(argv=None) -> int:
                     json.dump(doc, fh, indent=1)
                     fh.write("\n")
     print(report(doc["summary"]))
-    return 0
+    return int(failing(doc["summary"]))
 
 
 if __name__ == "__main__":
